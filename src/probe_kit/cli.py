@@ -3,7 +3,8 @@ experiments against solved relaxations, and verify instance files.
 
 Every flag can also be set through an environment variable with the
 PROBE_KIT_ prefix (e.g. PROBE_KIT_RUN_TRIALS).  Exit codes: 0 ok, 1 usage
-error, 2 verification failure, 3 capability exceeded.
+error, 2 verification failure, 3 capability exceeded, 4 internal error (a
+broken invariant or a failed solve).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_CAPABILITY = 3
+EXIT_INTERNAL = 4
 
 
 @click.group()
@@ -148,6 +150,9 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         click.echo(f"capability exceeded: {exc}", err=True)
         return EXIT_CAPABILITY
+    except RuntimeError as exc:  # InvariantViolation, failed LP solves
+        click.echo(f"internal error: {exc}", err=True)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

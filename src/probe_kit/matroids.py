@@ -37,6 +37,21 @@ def set_of(mask: int) -> frozenset:
     return frozenset(bits(mask))
 
 
+def _dependent_flats(rank_mask, n: int) -> list:
+    """Masks F over 0..n-1 with r(F) < |F| and r(F + e) > r(F) for every e not in F.
+
+    Only these rank rows are needed: the row of a set A is implied by the row
+    of its closure and x >= 0, and the row of an independent set by x <= 1.
+    """
+    full = (1 << n) - 1
+    flats = []
+    for f in range(1, 1 << n):
+        r = rank_mask(f)
+        if r < f.bit_count() and all(rank_mask(f | 1 << e) > r for e in bits(full & ~f)):
+            flats.append(f)
+    return flats
+
+
 class _Kind:
     """Backend for one matroid family: rank over the uncontracted ground set."""
 
@@ -53,6 +68,14 @@ class _Kind:
 
     def _rank_raw(self, mask: int) -> int:
         raise NotImplementedError
+
+    def polytope_row_masks(self) -> list:
+        """Masks A whose rank rows x(A) <= r(A), with 0 <= x <= 1, cut out P(M).
+
+        By default these are the dependent flats; kinds with a known polytope
+        list fewer rows that imply the rest.
+        """
+        return _dependent_flats(self.rank_mask, self.n)
 
     def _table(self) -> Optional[list]:
         if self.n > _TABLE_CAP:
@@ -75,6 +98,9 @@ class _UniformKind(_Kind):
 
     def _rank_raw(self, mask: int) -> int:
         return min(mask.bit_count(), self.k)
+
+    def polytope_row_masks(self) -> list:
+        return [(1 << self.n) - 1] if self.k < self.n else []
 
     def to_json(self):
         return {"kind": "uniform", "n": self.n, "k": self.k}
@@ -100,6 +126,13 @@ class _PartitionKind(_Kind):
         for pm, cap in zip(self._part_masks, self.capacities):
             r += min((mask & pm).bit_count(), cap)
         return r
+
+    def polytope_row_masks(self) -> list:
+        # a flat's row is the sum of the rows of the dependent parts it contains
+        # and of unit bounds on its other elements
+        return [
+            pm for pm, cap in zip(self._part_masks, self.capacities) if cap < pm.bit_count()
+        ]
 
     def to_json(self):
         return {
@@ -284,6 +317,16 @@ class Matroid:
         if tbl is not None:
             return tbl[full] == full.bit_count()
         return self._kind.indep_mask(full)
+
+    def polytope_row_masks(self) -> list:
+        """Masks A whose rank rows x(A) <= r(A), with 0 <= x <= 1, cut out P(M).
+
+        Contracted elements count as loops, so they fall into every row's
+        closure and x must vanish on them.
+        """
+        if self._cmask:
+            return _dependent_flats(self.rank_mask, self._kind.n)
+        return self._kind.polytope_row_masks()
 
     # -- serialization ---------------------------------------------------------
 

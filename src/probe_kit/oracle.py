@@ -30,76 +30,64 @@ def _probe_candidates(inst: ProbingInstance, q_mask: int, s_mask: int):
         yield e
 
 
-def optimal_adaptive_value(inst: ProbingInstance) -> float:
-    """E[OPT]: value of the best adaptive probing policy (may stop early)."""
-    if inst.n > DP_CAP:
-        raise CapabilityError(f"adaptive DP limited to {DP_CAP} elements")
-    value_table = inst.objective.value_table()
-    memo = {}
+class _AdaptiveDP:
+    """Memoized optimal adaptive value over (probed, successes) bitmask states.
 
-    def value(q_mask: int, s_mask: int) -> float:
+    Plain methods rather than a self-referencing closure, so the memo is freed
+    by reference counting as soon as the caller drops the object.
+    """
+
+    def __init__(self, inst: ProbingInstance):
+        if inst.n > DP_CAP:
+            raise CapabilityError(f"adaptive DP limited to {DP_CAP} elements")
+        self.inst = inst
+        self.value_table = inst.objective.value_table()
+        self.memo = {}
+
+    def value(self, q_mask: int, s_mask: int) -> float:
         key = (q_mask, s_mask)
-        cached = memo.get(key)
+        cached = self.memo.get(key)
         if cached is not None:
             return cached
-        best = value_table[s_mask]
-        for e in _probe_candidates(inst, q_mask, s_mask):
-            ebit = 1 << e
-            pe = inst.p[e]
-            v = pe * value(q_mask | ebit, s_mask | ebit) + (1.0 - pe) * value(
-                q_mask | ebit, s_mask
-            )
+        best = self.value_table[s_mask]
+        for e in _probe_candidates(self.inst, q_mask, s_mask):
+            v = self.probe_value(q_mask, s_mask, e)
             if v > best:
                 best = v
-        memo[key] = best
+        self.memo[key] = best
         return best
 
-    return value(0, 0)
+    def probe_value(self, q_mask: int, s_mask: int, e: int) -> float:
+        """Expected value of probing e now and acting optimally afterwards."""
+        ebit = 1 << e
+        pe = self.inst.p[e]
+        return pe * self.value(q_mask | ebit, s_mask | ebit) + (1.0 - pe) * self.value(
+            q_mask | ebit, s_mask
+        )
+
+    def policy_tree(self, q_mask: int, s_mask: int) -> PolicyTree:
+        target = self.value(q_mask, s_mask)
+        if target <= self.value_table[s_mask] + 1e-12:
+            return None
+        for e in _probe_candidates(self.inst, q_mask, s_mask):
+            if self.probe_value(q_mask, s_mask, e) >= target - 1e-12:
+                ebit = 1 << e
+                return (
+                    e,
+                    self.policy_tree(q_mask | ebit, s_mask | ebit),
+                    self.policy_tree(q_mask | ebit, s_mask),
+                )
+        raise AssertionError("DP bookkeeping inconsistent")
+
+
+def optimal_adaptive_value(inst: ProbingInstance) -> float:
+    """E[OPT]: value of the best adaptive probing policy (may stop early)."""
+    return _AdaptiveDP(inst).value(0, 0)
 
 
 def optimal_policy_tree(inst: ProbingInstance) -> PolicyTree:
     """Recover one optimal decision tree from the DP (stop on ties)."""
-    if inst.n > DP_CAP:
-        raise CapabilityError(f"adaptive DP limited to {DP_CAP} elements")
-    value_table = inst.objective.value_table()
-    memo = {}
-
-    def value(q_mask: int, s_mask: int) -> float:
-        key = (q_mask, s_mask)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best = value_table[s_mask]
-        for e in _probe_candidates(inst, q_mask, s_mask):
-            ebit = 1 << e
-            pe = inst.p[e]
-            v = pe * value(q_mask | ebit, s_mask | ebit) + (1.0 - pe) * value(
-                q_mask | ebit, s_mask
-            )
-            if v > best:
-                best = v
-        memo[key] = best
-        return best
-
-    def build(q_mask: int, s_mask: int) -> PolicyTree:
-        target = value(q_mask, s_mask)
-        if target <= value_table[s_mask] + 1e-12:
-            return None
-        for e in _probe_candidates(inst, q_mask, s_mask):
-            ebit = 1 << e
-            pe = inst.p[e]
-            v = pe * value(q_mask | ebit, s_mask | ebit) + (1.0 - pe) * value(
-                q_mask | ebit, s_mask
-            )
-            if v >= target - 1e-12:
-                return (
-                    e,
-                    build(q_mask | ebit, s_mask | ebit),
-                    build(q_mask | ebit, s_mask),
-                )
-        raise AssertionError("DP bookkeeping inconsistent")
-
-    return build(0, 0)
+    return _AdaptiveDP(inst).policy_tree(0, 0)
 
 
 def policy_value_exact(inst: ProbingInstance, tree: PolicyTree) -> float:

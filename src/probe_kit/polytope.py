@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import InvariantViolation
-from .matroids import Matroid, bits, mask_of, set_of
+from .matroids import _TABLE_CAP, Matroid, bits, mask_of, set_of
 
 EPS = 1e-9
 MAX_PEEL_FACTOR = 6  # peel iterations allowed per support element before LP fallback
@@ -221,8 +221,10 @@ def _decompose_lp(m: Matroid, x: Sequence[float]) -> MaskTerms:
 
     n = m.ground_size
     support = _support_mask(x)
-    if support.bit_count() > 12:
-        raise InvariantViolation("LP decomposition fallback limited to 12 support elements")
+    if support.bit_count() > _TABLE_CAP:
+        raise InvariantViolation(
+            f"LP decomposition fallback limited to {_TABLE_CAP} support elements"
+        )
     columns = [0]
     sub = support
     while sub:

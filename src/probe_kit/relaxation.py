@@ -1,7 +1,8 @@
 """Relaxations of the probing problem over intersected matroid polytopes:
-enumerated-constraint LP for linear objectives, discretized continuous greedy
-for submodular ones, and the joint LP that maximizes the correlation-gap
-relaxation exactly (used as an oracle at desk scale).
+an LP over each matroid's dependent-flat rank rows for linear objectives,
+discretized continuous greedy over the same rows for submodular ones, and
+the joint LP that maximizes the correlation-gap relaxation exactly (used as
+an oracle at desk scale).
 """
 
 from __future__ import annotations
@@ -60,29 +61,30 @@ def solve_lp(lp: LinearProgram) -> Tuple[np.ndarray, float]:
 
 
 def _polytope_rows(inst: ProbingInstance) -> Tuple[np.ndarray, np.ndarray]:
-    """One rank constraint per nonempty subset per matroid.
+    """Rank rows of every matroid, only for the masks it lists as needed.
 
-    Outer matroids constrain x directly; inner matroids constrain p * x.
+    Each matroid contributes one row per mask from `polytope_row_masks`: its
+    dependent flats, or one per dependent part or uniform budget.  Outer
+    matroids constrain x directly; inner matroids constrain p * x.  The rows
+    omitted are implied by these and 0 <= x <= 1, so the feasible region is
+    the intersection of the full rank-constraint polytopes.
     """
     if inst.n > LP_ENUM_CAP:
         raise CapabilityError(f"constraint enumeration limited to {LP_ENUM_CAP} elements")
     n = inst.n
+    ones = np.ones(n)
+    p = np.asarray(inst.p, dtype=float)
     rows = []
     rhs = []
-    for mask in range(1, 1 << n):
-        members = list(bits(mask))
-        for m in inst.outer:
-            row = np.zeros(n)
-            row[members] = 1.0
-            rows.append(row)
-            rhs.append(float(m.rank_mask(mask)))
-        for m in inst.inner:
-            row = np.zeros(n)
-            for i in members:
-                row[i] = inst.p[i]
-            rows.append(row)
-            rhs.append(float(m.rank_mask(mask)))
-    return np.array(rows), np.array(rhs)
+    for matroids, scale in ((inst.outer, ones), (inst.inner, p)):
+        for m in matroids:
+            for mask in m.polytope_row_masks():
+                members = list(bits(mask))
+                row = np.zeros(n)
+                row[members] = scale[members]
+                rows.append(row)
+                rhs.append(float(m.rank_mask(mask)))
+    return np.array(rows).reshape(len(rows), n), np.array(rhs)
 
 
 def build_probing_lp(inst: ProbingInstance) -> LinearProgram:

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
+from scipy.optimize import OptimizeResult
+
+import probe_kit.cli
+import probe_kit.relaxation
 from probe_kit.cli import main
+from probe_kit.errors import InvariantViolation
 from probe_kit.instances import ProbingInstance
 
 
@@ -99,6 +104,25 @@ class TestRun:
     def test_missing_instance_is_usage_error(self, capsys):
         code, _, _ = _run(capsys, "run", "--instance", "/no/such/file.json")
         assert code == 1
+
+    def test_failed_lp_solve_is_internal_error(self, instance_file, capsys, monkeypatch):
+        monkeypatch.setattr(
+            probe_kit.relaxation,
+            "linprog",
+            lambda *a, **k: OptimizeResult(success=False, message="forced failure"),
+        )
+        code, _, stderr = _run(capsys, "run", "--instance", str(instance_file))
+        assert code == 4
+        assert "LP solve failed" in stderr
+
+    def test_invariant_violation_is_internal_error(self, instance_file, capsys, monkeypatch):
+        def broken(inst, config):
+            raise InvariantViolation("forced")
+
+        monkeypatch.setattr(probe_kit.cli, "run_experiment", broken)
+        code, _, stderr = _run(capsys, "run", "--instance", str(instance_file))
+        assert code == 4
+        assert "forced" in stderr
 
     def test_env_var_override(self, instance_file, capsys, monkeypatch):
         monkeypatch.setenv("PROBE_KIT_RUN_TRIALS", "123")

@@ -14,9 +14,11 @@ from probe_kit.matroids import (
     explicit_matroid,
     free_matroid,
     graphic_matroid,
+    mask_of,
     matroid_axiom_violations,
     partition_matroid,
     uniform_matroid,
+    _dependent_flats,
 )
 
 # elements are named a=0, b=1, c=2, d=3 in comments below
@@ -199,6 +201,81 @@ class TestSerialization:
         m2 = Matroid.from_json(m.to_json())
         assert m2.contracted == frozenset({1})
         assert not m2.is_independent({0, 2})
+
+
+class TestPolytopeRowMasks:
+    """Per-kind LP row masks against the generic closure enumeration."""
+
+    @staticmethod
+    def _flats(m):
+        return _dependent_flats(m.rank_mask, m.ground_size)
+
+    def _assert_rows_imply_flats(self, m):
+        # each flat's row must be a sum of disjoint listed rows plus unit bounds
+        rows = m.polytope_row_masks()
+        for r in rows:
+            assert m.rank_mask(r) < r.bit_count()
+        for f in self._flats(m):
+            covered, bound = 0, 0
+            for r in rows:
+                if r & ~f == 0:
+                    assert r & covered == 0
+                    covered |= r
+                    bound += m.rank_mask(r)
+            assert bound + (f & ~covered).bit_count() <= m.rank_mask(f)
+
+    def test_generic_closure_on_graphic(self):
+        # triangle a-b-c plus pendant edge d
+        m = graphic_matroid(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        assert self._flats(m) == [mask_of([0, 1, 2]), mask_of([0, 1, 2, 3])]
+        assert m.polytope_row_masks() == self._flats(m)
+
+    def test_explicit_uses_generic_closure(self):
+        m = explicit_matroid(3, [[], [0], [1], [2], [0, 1]])
+        assert m.polytope_row_masks() == self._flats(m) == [mask_of([0, 2]), mask_of([1, 2]), 7]
+
+    def test_partition_capacity_zero_and_free_element(self):
+        # element 4 lies in no part and is free
+        m = partition_matroid(5, [[0, 1], [2, 3]], [0, 1])
+        assert m.polytope_row_masks() == [mask_of([0, 1]), mask_of([2, 3])]
+        assert all(f & mask_of([0, 1]) == mask_of([0, 1]) for f in self._flats(m))
+        self._assert_rows_imply_flats(m)
+
+    def test_partition_capacity_at_least_part_size(self):
+        m = partition_matroid(4, [[0], [1, 2, 3]], [1, 3])
+        assert m.polytope_row_masks() == [] == self._flats(m)
+
+    def test_partition_several_dependent_parts(self):
+        m = partition_matroid(7, [[0, 1, 2], [3, 4], [5]], [1, 1, 1])
+        assert m.polytope_row_masks() == [mask_of([0, 1, 2]), mask_of([3, 4])]
+        # any nonempty union of the dependent parts, plus any of elements 5, 6
+        assert len(self._flats(m)) == 3 * 4
+        self._assert_rows_imply_flats(m)
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_uniform_budget(self, k):
+        m = uniform_matroid(4, k)
+        assert m.polytope_row_masks() == self._flats(m) == ([0b1111] if k < 4 else [])
+
+    def test_free_matroid_has_no_rows(self):
+        assert free_matroid(5).polytope_row_masks() == []
+
+    def test_contracted_matroid_uses_generic_closure(self):
+        m = Matroid.from_json(
+            {
+                "kind": "partition",
+                "n": 5,
+                "parts": [[0, 1, 2], [3, 4]],
+                "capacities": [2, 1],
+                "contracted": [0],
+            }
+        )
+        rows = m.polytope_row_masks()
+        assert rows == self._flats(m)
+        # the contracted element behaves as a loop: every row contains it
+        assert mask_of([0]) in rows
+        assert all(r & 1 for r in rows)
+        assert uniform_matroid(4, 2).contract(1).polytope_row_masks() == [0b0010, 0b1111]
 
 
 def _random_small_matroid(rng):

@@ -12,7 +12,9 @@ from probe_kit.matroids import (
     partition_matroid,
     uniform_matroid,
 )
+from probe_kit.errors import InvariantViolation
 from probe_kit.polytope import (
+    _decompose_lp,
     decompose,
     decompose_masks,
     implied_vector_masks,
@@ -80,6 +82,26 @@ class TestDecompose:
         x = _random_point(m, rng)
         d = decompose(m, x)
         assert len(d) <= m.ground_size + 1
+
+    @pytest.mark.parametrize("n", [13, 14, 15])
+    def test_lp_fallback_wide_support(self, n):
+        # the peel's exact fallback must cover supports as wide as the LP
+        rng = random.Random(n)
+        parts, caps = [list(range(0, n, 2)), list(range(1, n, 2))], [3, 2]
+        m = partition_matroid(n, parts, caps)
+        x = [0.0] * n
+        for part, cap in zip(parts, caps):
+            for i in part:
+                x[i] = cap / len(part) * rng.uniform(0.5, 0.99)
+        terms = _decompose_lp(m, x)
+        rt = implied_vector_masks(terms, n)
+        assert max(abs(rt[i] - x[i]) for i in range(n)) <= 1e-9
+        assert abs(sum(w for w, _ in terms) - 1.0) <= 1e-9
+        assert all(m.indep_mask(mask) for _, mask in terms)
+
+    def test_lp_fallback_rejects_support_above_cap(self):
+        with pytest.raises(InvariantViolation):
+            _decompose_lp(free_matroid(17), [0.5] * 17)
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 10_000))

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from probe_kit.errors import CapabilityError
-from probe_kit.instances import ProbingInstance
-from probe_kit.matroids import free_matroid, uniform_matroid
+from probe_kit.instances import ProbingInstance, gen_bipartite_matching
+from probe_kit.matroids import bits, free_matroid, uniform_matroid
 from probe_kit.objectives import LinearObjective
 from probe_kit.oracle import optimal_adaptive_value
 from probe_kit.relaxation import (
     LinearProgram,
+    _polytope_rows,
     build_probing_lp,
     continuous_greedy,
     enumerate_basic_solutions,
@@ -113,6 +114,90 @@ class TestProbingLp:
             inst = random_instance(100 + seed)
             sol = solve_relaxation(inst)
             assert relaxation_feasible(inst, sol.x0)
+
+
+def _all_subset_rows(inst):
+    """Reference: one rank row per nonempty subset per matroid (2^n - 1 each)."""
+    n = inst.n
+    rows = []
+    rhs = []
+    for mask in range(1, 1 << n):
+        members = list(bits(mask))
+        for m in inst.outer:
+            row = np.zeros(n)
+            row[members] = 1.0
+            rows.append(row)
+            rhs.append(float(m.rank_mask(mask)))
+        for m in inst.inner:
+            row = np.zeros(n)
+            for i in members:
+                row[i] = inst.p[i]
+            rows.append(row)
+            rhs.append(float(m.rank_mask(mask)))
+    return np.array(rows), np.array(rhs)
+
+
+def _row_test_instances():
+    insts = []
+    for k_in in range(3):
+        for k_out in (1, 2):
+            for seed in range(4):
+                objective = "linear" if seed % 2 == 0 else "coverage"
+                insts.append(
+                    random_instance(
+                        500 + 10 * seed + 3 * k_in + k_out,
+                        k_in=k_in,
+                        k_out=k_out,
+                        objective=objective,
+                    )
+                )
+    rng = random.Random(11)
+    for n_left, n_right in ((3, 3), (4, 3)):
+        insts.append(
+            gen_bipartite_matching(n_left, n_right, [2] * n_left, [1] * n_right, 0.9, rng)
+        )
+    return insts
+
+
+class TestPolytopeRows:
+    """The compact rows cut out the same polytope as the all-subsets rows."""
+
+    def test_instances_cover_every_matroid_kind(self):
+        kinds = {m.kind_name for inst in _row_test_instances() for m in inst.outer + inst.inner}
+        assert kinds == {"uniform", "partition", "graphic", "explicit"}
+
+    def test_lp_optimum_matches_all_subset_rows(self):
+        rng = np.random.default_rng(3)
+        for inst in _row_test_instances():
+            a_ub, b_ub = _polytope_rows(inst)
+            ref_a, ref_b = _all_subset_rows(inst)
+            assert len(b_ub) < len(ref_b)
+            objectives = [rng.uniform(0.0, 2.0, inst.n) for _ in range(3)]
+            if inst.objective.is_linear:
+                objectives.append(build_probing_lp(inst).c)
+            for c in objectives:
+                x, val = solve_lp(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub))
+                _, ref_val = solve_lp(LinearProgram(c=c, a_ub=ref_a, b_ub=ref_b))
+                assert abs(val - ref_val) <= 1e-9
+                assert np.max(ref_a @ x - ref_b) <= 1e-9
+
+    def test_solved_relaxation_is_feasible(self):
+        for inst in _row_test_instances():
+            assert relaxation_feasible(inst, solve_relaxation(inst, cg_steps=10).x0)
+
+    def test_free_matroid_gives_empty_rows(self):
+        inst = ProbingInstance(
+            n=3,
+            p=[0.5, 0.5, 0.5],
+            objective=LinearObjective([1.0, 2.0, 3.0]),
+            inner=[free_matroid(3)],
+            outer=[free_matroid(3)],
+        )
+        a_ub, b_ub = _polytope_rows(inst)
+        assert a_ub.shape == (0, 3) and b_ub.shape == (0,)
+        x, val = solve_lp(LinearProgram(c=np.ones(3), a_ub=a_ub, b_ub=b_ub))
+        assert val == pytest.approx(3.0)
+        assert np.allclose(x, 1.0)
 
 
 class TestContinuousGreedy:
