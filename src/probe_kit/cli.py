@@ -112,7 +112,10 @@ def cmd_run(instance, trials, seed, mode, cg_steps, out, fmt, jobs):
 def cmd_verify(instance, cg_steps):
     """Run structural diagnostics on an instance file."""
     inst = ProbingInstance.load(instance)
-    problems = verify_instance(inst)
+    skipped = []
+    problems = verify_instance(inst, skipped=skipped)
+    for s in skipped:
+        click.echo(f"skipped: {s}", err=True)
     if not problems:
         relaxed = solve_relaxation(inst, cg_steps=cg_steps)
         if not relaxation_feasible(inst, relaxed.x0):

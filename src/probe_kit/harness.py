@@ -5,6 +5,13 @@ instance is small enough.
 Per-trial RNG streams are derived from (seed, trial index), and trials are
 aggregated in fixed chunk order, so reports are identical regardless of the
 worker count.
+
+The policy is a Markov chain: a state is a function of (probed mask, success
+mask, x), and `apply_step` is deterministic given a state and its sampled
+`StepChoices`. Each chunk therefore computes every distinct transition once
+and reuses it for later trials. The choices are still drawn on every step, so
+each trial consumes its RNG stream exactly as without reuse and the sums stay
+bit-identical.
 """
 
 from __future__ import annotations
@@ -105,8 +112,17 @@ def resolve_mode(inst: ProbingInstance, mode: str) -> str:
 
 
 def _run_chunk(inst: ProbingInstance, x0, seed: int, start: int, count: int):
-    """Aggregate `count` trials starting at trial index `start`."""
+    """Aggregate `count` trials starting at trial index `start`.
+
+    Transitions are reused within the chunk, keyed by the state's value
+    (q_mask, s_mask, x) and the drawn choices: equal states reached along
+    different paths share entries. `apply_step`, and with it the feasibility
+    assertion, runs once per distinct transition. Every step probes a new
+    element, so the cache holds at most count * n states; it is freed when
+    the chunk returns.
+    """
     state0 = init_state(inst, x0)
+    transitions = {}
     total = 0.0
     total_sq = 0.0
     steps_total = 0
@@ -118,7 +134,11 @@ def _run_chunk(inst: ProbingInstance, x0, seed: int, start: int, count: int):
             choices = draw_choices(state, rng)
             if choices is None:
                 break
-            state = apply_step(state, choices)
+            key = (state.q_mask, state.s_mask, tuple(state.x), choices)
+            nxt = transitions.get(key)
+            if nxt is None:
+                nxt = transitions[key] = apply_step(state, choices)
+            state = nxt
             steps += 1
         v = state.objective_value()
         total += v

@@ -25,6 +25,7 @@ from .objectives import (
     Objective,
     WeightedRankObjective,
 )
+from .schema import read_field
 
 
 @dataclass
@@ -69,13 +70,23 @@ class ProbingInstance:
 
     @staticmethod
     def from_json(d: dict) -> "ProbingInstance":
+        """Parse an instance document; a missing or mistyped field raises
+        ValueError naming its path (e.g. ``outer[0].capacities``)."""
+
+        def get(key, *kinds):
+            return read_field(d, key, "", *kinds)
+
         return ProbingInstance(
-            n=d["ground"]["size"],
-            p=[float(v) for v in d["p"]],
-            objective=Objective.from_json(d["objective"]),
-            inner=[Matroid.from_json(m) for m in d["inner"]],
-            outer=[Matroid.from_json(m) for m in d["outer"]],
-            metadata=d.get("metadata", {}),
+            n=read_field(get("ground", dict), "size", "ground", int),
+            p=[float(v) for v in get("p", list, float)],
+            objective=Objective.from_json(get("objective", dict)),
+            inner=[
+                Matroid.from_json(m, f"inner[{j}]") for j, m in enumerate(get("inner", list, dict))
+            ],
+            outer=[
+                Matroid.from_json(m, f"outer[{j}]") for j, m in enumerate(get("outer", list, dict))
+            ],
+            metadata=get("metadata", dict) if "metadata" in d else {},
         )
 
     def save(self, path):
@@ -292,9 +303,16 @@ def gen_random(
     )
 
 
-def verify_instance(inst: ProbingInstance, axiom_limit: int = 10) -> list:
-    """Structural diagnostics used by the CLI verify command."""
+def verify_instance(
+    inst: ProbingInstance, axiom_limit: int = 10, skipped: Optional[list] = None
+) -> list:
+    """Structural diagnostics used by the CLI verify command.
+
+    The exhaustive checks run only up to `axiom_limit` elements; each check
+    skipped above it is described in `skipped` when a list is given.
+    """
     problems = []
+    skipped = [] if skipped is None else skipped
     if inst.k_out < 1:
         problems.append("no outer matroid")
     for label, matroids in (("inner", inst.inner), ("outer", inst.outer)):
@@ -302,9 +320,16 @@ def verify_instance(inst: ProbingInstance, axiom_limit: int = 10) -> list:
             if m.ground_size <= axiom_limit:
                 for v in matroid_axiom_violations(m):
                     problems.append(f"{label} matroid {j}: {v}")
+            else:
+                skipped.append(
+                    f"{label} matroid {j} axiom checks "
+                    f"({m.ground_size} elements, limit {axiom_limit})"
+                )
     if inst.n <= axiom_limit:
         from .objectives import objective_structure_violations
 
         for v in objective_structure_violations(inst.objective):
             problems.append(f"objective: {v}")
+    else:
+        skipped.append(f"objective structure checks ({inst.n} elements, limit {axiom_limit})")
     return problems

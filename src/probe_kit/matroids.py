@@ -13,7 +13,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import InvariantViolation
+from .schema import read_field
 
 _TABLE_CAP = 16  # build full rank tables up to this ground-set size
 
@@ -35,6 +38,14 @@ def bits(mask: int):
 
 def set_of(mask: int) -> frozenset:
     return frozenset(bits(mask))
+
+
+def _popcounts(n: int) -> np.ndarray:
+    """Bit counts of every mask over n elements, built by doubling."""
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for b in range(n):
+        counts[1 << b : 2 << b] = counts[: 1 << b] + 1
+    return counts
 
 
 def _dependent_flats(rank_mask, n: int) -> list:
@@ -82,9 +93,13 @@ class _Kind:
             return None
         cached = getattr(self, "_rank_table", None)
         if cached is None:
-            cached = [self._rank_raw(m) for m in range(1 << self.n)]
+            cached = self._build_table()
             self._rank_table = cached
         return cached
+
+    def _build_table(self) -> list:
+        """Rank of every mask, as a list (the hot loop indexes it)."""
+        return [self._rank_raw(m) for m in range(1 << self.n)]
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -99,6 +114,9 @@ class _UniformKind(_Kind):
     def _rank_raw(self, mask: int) -> int:
         return min(mask.bit_count(), self.k)
 
+    def _build_table(self) -> list:
+        return np.minimum(_popcounts(self.n), self.k).tolist()
+
     def polytope_row_masks(self) -> list:
         return [(1 << self.n) - 1] if self.k < self.n else []
 
@@ -110,6 +128,8 @@ class _PartitionKind(_Kind):
     def __init__(self, n: int, parts: list, capacities: list):
         if len(parts) != len(capacities):
             raise ValueError("one capacity per part required")
+        if any(not 0 <= e < n for e in itertools.chain.from_iterable(parts)):
+            raise ValueError("part element outside the ground set")
         seen = mask_of(itertools.chain.from_iterable(parts))
         total = sum(len(p) for p in parts)
         if seen.bit_count() != total:
@@ -126,6 +146,14 @@ class _PartitionKind(_Kind):
         for pm, cap in zip(self._part_masks, self.capacities):
             r += min((mask & pm).bit_count(), cap)
         return r
+
+    def _build_table(self) -> list:
+        counts = _popcounts(self.n)
+        masks = np.arange(1 << self.n, dtype=np.int64)
+        table = counts[masks & self._free_mask]
+        for pm, cap in zip(self._part_masks, self.capacities):
+            table += np.minimum(counts[masks & pm], cap)
+        return table.tolist()
 
     def polytope_row_masks(self) -> list:
         # a flat's row is the sum of the rows of the dependent parts it contains
@@ -337,19 +365,30 @@ class Matroid:
         return d
 
     @staticmethod
-    def from_json(d: dict) -> "Matroid":
-        kind = d["kind"]
+    def from_json(d: dict, path: str = "matroid") -> "Matroid":
+        """Parse `d`; `path` locates it in the document for error messages."""
+
+        def get(key, *kinds):
+            return read_field(d, key, path, *kinds)
+
+        kind = get("kind", str)
         if kind == "uniform":
-            m = uniform_matroid(d["n"], d["k"])
+            m = uniform_matroid(get("n", int), get("k", int))
         elif kind == "partition":
-            m = partition_matroid(d["n"], d["parts"], d["capacities"])
+            m = partition_matroid(
+                get("n", int), get("parts", list, list, int), get("capacities", list, int)
+            )
         elif kind == "graphic":
-            m = graphic_matroid(d["n_vertices"], d["edges"])
+            edges = get("edges", list, list, int)
+            for i, edge in enumerate(edges):
+                if len(edge) != 2:
+                    raise ValueError(f"{path}.edges[{i}]: expected two endpoints")
+            m = graphic_matroid(get("n_vertices", int), edges)
         elif kind == "explicit":
-            m = explicit_matroid(d["n"], d["independent_sets"])
+            m = explicit_matroid(get("n", int), get("independent_sets", list, list, int))
         else:
-            raise ValueError(f"unknown matroid kind {kind!r}")
-        for e in d.get("contracted", []):
+            raise ValueError(f"{path}.kind: unknown matroid kind {kind!r}")
+        for e in get("contracted", list, int) if "contracted" in d else []:
             m = m.contract(e)
         return m
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .matroids import Matroid, bits, mask_of
+from .schema import read_field
 
 EXACT_CAP = 20  # exact multilinear enumeration limit
 FPLUS_CAP = 10  # 2^n LP columns limit
@@ -54,15 +55,25 @@ class Objective:
         raise NotImplementedError
 
     @staticmethod
-    def from_json(d: dict) -> "Objective":
-        kind = d["kind"]
+    def from_json(d: dict, path: str = "objective") -> "Objective":
+        """Parse `d`; `path` locates it in the document for error messages."""
+
+        def get(key, *kinds):
+            return read_field(d, key, path, *kinds)
+
+        kind = get("kind", str)
         if kind == "linear":
-            return LinearObjective(d["weights"])
+            return LinearObjective(get("weights", list, float))
         if kind == "coverage":
-            return CoverageObjective(d["covers"], d["item_weights"])
+            return CoverageObjective(
+                get("covers", list, list, int), get("item_weights", list, float)
+            )
         if kind == "weighted_matroid_rank":
-            return WeightedRankObjective(Matroid.from_json(d["matroid"]), d["weights"])
-        raise ValueError(f"unknown objective kind {kind!r}")
+            return WeightedRankObjective(
+                Matroid.from_json(get("matroid", dict), f"{path}.matroid"),
+                get("weights", list, float),
+            )
+        raise ValueError(f"{path}.kind: unknown objective kind {kind!r}")
 
 
 class LinearObjective(Objective):

@@ -124,6 +124,31 @@ class TestRun:
         assert code == 4
         assert "forced" in stderr
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_missing_top_level_key_names_field(self, instance_file, capsys, command):
+        doc = json.loads(instance_file.read_text())
+        del doc["p"]
+        instance_file.write_text(json.dumps(doc))
+        code, _, stderr = _run(capsys, command, "--instance", str(instance_file))
+        assert code == 1
+        assert "error: p: missing field" in stderr
+
+    def test_missing_matroid_key_names_field(self, instance_file, capsys):
+        doc = json.loads(instance_file.read_text())
+        doc["outer"][0] = {"kind": "partition", "n": 4, "parts": [[0, 1], [2, 3]]}
+        instance_file.write_text(json.dumps(doc))
+        code, _, stderr = _run(capsys, "run", "--instance", str(instance_file))
+        assert code == 1
+        assert "outer[0].capacities: missing field" in stderr
+
+    def test_mistyped_field_names_field(self, instance_file, capsys):
+        doc = json.loads(instance_file.read_text())
+        doc["ground"]["size"] = "4"
+        instance_file.write_text(json.dumps(doc))
+        code, _, stderr = _run(capsys, "run", "--instance", str(instance_file))
+        assert code == 1
+        assert "ground.size: expected int, got str" in stderr
+
     def test_env_var_override(self, instance_file, capsys, monkeypatch):
         monkeypatch.setenv("PROBE_KIT_RUN_TRIALS", "123")
         code, stdout, _ = _run(capsys, "run", "--instance", str(instance_file))
@@ -154,6 +179,21 @@ class TestVerify:
         code, _, stderr = _run(capsys, "verify", "--instance", str(out))
         assert code == 2
         assert "exchange" in stderr
+
+    def test_skipped_checks_are_listed(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        _run(
+            capsys, "generate", "--size", "12", "--k-in", "1", "--k-out", "1",
+            "--seed", "2", "--out", str(out),
+        )
+        code, stdout, stderr = _run(capsys, "verify", "--instance", str(out))
+        assert code == 0
+        assert stdout == "ok\n"
+        assert stderr.splitlines() == [
+            "skipped: inner matroid 0 axiom checks (12 elements, limit 10)",
+            "skipped: outer matroid 0 axiom checks (12 elements, limit 10)",
+            "skipped: objective structure checks (12 elements, limit 10)",
+        ]
 
     def test_tampered_probabilities_fail(self, tmp_path, capsys):
         out = tmp_path / "inst.json"

@@ -19,6 +19,8 @@ from probe_kit.matroids import (
     partition_matroid,
     uniform_matroid,
     _dependent_flats,
+    _PartitionKind,
+    _UniformKind,
 )
 
 # elements are named a=0, b=1, c=2, d=3 in comments below
@@ -181,6 +183,53 @@ class TestAxioms:
     def test_axiom_checker_size_cap(self):
         with pytest.raises(ValueError):
             matroid_axiom_violations(uniform_matroid(13, 3))
+
+
+class TestRankTable:
+    """Closed-form numpy tables against the per-mask rank loop."""
+
+    @staticmethod
+    def _assert_table_matches_loop(kind):
+        table = kind._build_table()
+        assert type(table) is list
+        assert table == [kind._rank_raw(m) for m in range(1 << kind.n)]
+
+    @pytest.mark.parametrize(
+        "n, parts, caps",
+        [
+            (5, [[0, 1], [2, 3]], [0, 1]),  # capacity 0, free element 4
+            (4, [[0], [1, 2, 3]], [1, 5]),  # capacities >= |part|
+            (6, [], []),  # every element free
+            (7, [[0, 1, 2], [3, 4], [5]], [1, 1, 1]),
+            (0, [], []),
+        ],
+    )
+    def test_partition(self, n, parts, caps):
+        self._assert_table_matches_loop(_PartitionKind(n, parts, caps))
+
+    @pytest.mark.parametrize("n, k", [(4, 0), (4, 2), (4, 4), (3, 7), (0, 0), (0, 2)])
+    def test_uniform(self, n, k):
+        self._assert_table_matches_loop(_UniformKind(n, k))
+
+    @pytest.mark.parametrize("element", [-1, 4, 99])
+    def test_partition_element_outside_ground_set_rejected(self, element):
+        with pytest.raises(ValueError, match="outside the ground set"):
+            partition_matroid(4, [[0, element]], [1])
+
+    def test_random_kinds(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            n = rng.randint(0, 9)
+            elems = list(range(n))
+            rng.shuffle(elems)
+            parts = []
+            while elems and rng.random() < 0.8:
+                size = rng.randint(1, len(elems))
+                parts.append(elems[:size])
+                elems = elems[size:]
+            caps = [rng.randint(0, len(p) + 1) for p in parts]
+            self._assert_table_matches_loop(_PartitionKind(n, parts, caps))
+            self._assert_table_matches_loop(_UniformKind(n, rng.randint(0, n + 1)))
 
 
 class TestSerialization:
