@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation
@@ -23,6 +24,7 @@ from .polytope import (
     decompose_masks,
     implied_vector_masks,
     support_update_masks,
+    trim_masks,
 )
 
 SIGMA_EPS = 1e-9
@@ -40,7 +42,11 @@ class PolicyState:
     outer_terms: List[MaskTerms]
     inner_terms: List[MaskTerms]
     sigma: float
-    z: float
+
+    @cached_property
+    def z(self) -> float:
+        """The potential, computed on first access (the Monte Carlo loop never reads it)."""
+        return potential(self)
 
     @property
     def probed(self) -> frozenset:
@@ -149,7 +155,7 @@ def init_state(inst: ProbingInstance, x0: Sequence[float]) -> PolicyState:
         if v <= COORD_EPS:
             x[i] = 0.0
     px = [inst.p[i] * x[i] for i in range(inst.n)]
-    state = PolicyState(
+    return PolicyState(
         inst=inst,
         x=x,
         q_mask=0,
@@ -159,10 +165,7 @@ def init_state(inst: ProbingInstance, x0: Sequence[float]) -> PolicyState:
         outer_terms=[decompose_masks(m, x) for m in inst.outer],
         inner_terms=[decompose_masks(m, px) for m in inst.inner],
         sigma=sum(x),
-        z=0.0,
     )
-    state.z = potential(state)
-    return state
 
 
 def select_element(state: PolicyState, rng: random.Random) -> Optional[int]:
@@ -225,10 +228,13 @@ def apply_step(state: PolicyState, choices: StepChoices) -> PolicyState:
 
     Performs the guided support update for every matroid from the pre-step
     decomposition snapshot, contracts, reconciles the master vector as the
-    coordinate-wise minimum of the per-matroid implied vectors, and rebuilds
-    each decomposition for the new master point.
+    coordinate-wise minimum of the per-matroid implied vectors, and trims each
+    updated decomposition (the inner ones of an inactive probe included) to
+    the new master point, so every step keeps an exact decomposition without
+    peeling again.
     """
     inst = state.inst
+    n = inst.n
     e = choices.element
     ebit = 1 << e
     p = inst.p
@@ -236,42 +242,46 @@ def apply_step(state: PolicyState, choices: StepChoices) -> PolicyState:
         raise ValueError("probed element has zero fractional value")
 
     new_outer_m = []
-    outer_implied = []
+    outer_terms = []
     for j, m in enumerate(state.outer_m):
-        updated = support_update_masks(m, state.outer_terms[j], e, choices.outer_guides[j])
-        outer_implied.append(implied_vector_masks(updated, inst.n))
+        outer_terms.append(
+            support_update_masks(m, state.outer_terms[j], e, choices.outer_guides[j])
+        )
         new_outer_m.append(m.contract(e))
+    outer_implied = [implied_vector_masks(t, n) for t in outer_terms]
 
     new_inner_m = list(state.inner_m)
-    inner_implied = []
+    inner_terms = state.inner_terms
     s_mask = state.s_mask
     if choices.active:
         s_mask |= ebit
+        inner_terms = []
         for j, m in enumerate(state.inner_m):
             g = choices.inner_guides[j]
             if g is None:
                 # degenerate support (p_e x_e below tolerance): drop e directly
-                updated = [(w, mask & ~ebit) for w, mask in state.inner_terms[j]]
+                inner_terms.append([(w, mask & ~ebit) for w, mask in state.inner_terms[j]])
             else:
-                updated = support_update_masks(m, state.inner_terms[j], e, g)
-            inner_implied.append(implied_vector_masks(updated, inst.n))
+                inner_terms.append(support_update_masks(m, state.inner_terms[j], e, g))
             new_inner_m[j] = m.contract(e)
+    inner_implied = [implied_vector_masks(t, n) for t in inner_terms]
 
     new_x = list(state.x)
     new_x[e] = 0.0
-    for i in range(inst.n):
+    for i in range(n):
         v = new_x[i]
         if v <= 0.0:
             continue
         for vec in outer_implied:
             if vec[i] < v:
                 v = vec[i]
-        for vec in inner_implied:
-            bound = vec[i] / p[i] if p[i] > 0.0 else v
-            if bound < v:
-                v = bound
+        if choices.active:
+            for vec in inner_implied:
+                bound = vec[i] / p[i] if p[i] > 0.0 else v
+                if bound < v:
+                    v = bound
         new_x[i] = 0.0 if v <= COORD_EPS else v
-    new_px = [p[i] * new_x[i] for i in range(inst.n)]
+    new_px = [p[i] * new_x[i] for i in range(n)]
 
     new_state = PolicyState(
         inst=inst,
@@ -280,12 +290,10 @@ def apply_step(state: PolicyState, choices: StepChoices) -> PolicyState:
         s_mask=s_mask,
         outer_m=new_outer_m,
         inner_m=new_inner_m,
-        outer_terms=[decompose_masks(m, new_x) for m in new_outer_m],
-        inner_terms=[decompose_masks(m, new_px) for m in new_inner_m],
+        outer_terms=[trim_masks(t, v, new_x) for t, v in zip(outer_terms, outer_implied)],
+        inner_terms=[trim_masks(t, v, new_px) for t, v in zip(inner_terms, inner_implied)],
         sigma=sum(new_x),
-        z=0.0,
     )
-    new_state.z = potential(new_state)
     _assert_state_feasible(new_state)
     return new_state
 

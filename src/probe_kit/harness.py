@@ -7,11 +7,14 @@ aggregated in fixed chunk order, so reports are identical regardless of the
 worker count.
 
 The policy is a Markov chain: a state is a function of (probed mask, success
-mask, x), and `apply_step` is deterministic given a state and its sampled
-`StepChoices`. Each chunk therefore computes every distinct transition once
-and reuses it for later trials. The choices are still drawn on every step, so
-each trial consumes its RNG stream exactly as without reuse and the sums stay
-bit-identical.
+mask, x, outer and inner decompositions), and `apply_step` is deterministic
+given a state and its sampled `StepChoices`. The decompositions belong to the
+state because each step trims the previous ones: equal (q, s, x) reached
+along different paths may carry different decompositions and so draw
+different guides. Each chunk therefore computes every distinct transition
+once and reuses it for later trials. The choices are still drawn on every
+step, so each trial consumes its RNG stream exactly as without reuse and the
+sums stay bit-identical.
 """
 
 from __future__ import annotations
@@ -115,9 +118,9 @@ def _run_chunk(inst: ProbingInstance, x0, seed: int, start: int, count: int):
     """Aggregate `count` trials starting at trial index `start`.
 
     Transitions are reused within the chunk, keyed by the state's value
-    (q_mask, s_mask, x) and the drawn choices: equal states reached along
-    different paths share entries. `apply_step`, and with it the feasibility
-    assertion, runs once per distinct transition. Every step probes a new
+    (q_mask, s_mask, x, outer and inner terms) and the drawn choices: equal
+    states reached along different paths share entries. `apply_step`, and
+    with it the feasibility assertion, runs once per distinct transition. Every step probes a new
     element, so the cache holds at most count * n states; it is freed when
     the chunk returns.
     """
@@ -134,7 +137,14 @@ def _run_chunk(inst: ProbingInstance, x0, seed: int, start: int, count: int):
             choices = draw_choices(state, rng)
             if choices is None:
                 break
-            key = (state.q_mask, state.s_mask, tuple(state.x), choices)
+            key = (
+                state.q_mask,
+                state.s_mask,
+                tuple(state.x),
+                tuple(map(tuple, state.outer_terms)),
+                tuple(map(tuple, state.inner_terms)),
+                choices,
+            )
             nxt = transitions.get(key)
             if nxt is None:
                 nxt = transitions[key] = apply_step(state, choices)
@@ -216,7 +226,6 @@ def run_experiment(
             "seed": config.seed,
             "mode": config.mode,
             "cg_steps": config.cg_steps,
-            "jobs": config.jobs,
         },
         instance_metadata=inst.metadata,
     )

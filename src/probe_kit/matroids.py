@@ -130,6 +130,8 @@ class _PartitionKind(_Kind):
             raise ValueError("one capacity per part required")
         if any(not 0 <= e < n for e in itertools.chain.from_iterable(parts)):
             raise ValueError("part element outside the ground set")
+        if any(cap < 0 for cap in capacities):
+            raise ValueError("partition capacities must be >= 0")
         seen = mask_of(itertools.chain.from_iterable(parts))
         total = sum(len(p) for p in parts)
         if seen.bit_count() != total:
@@ -368,28 +370,34 @@ class Matroid:
     def from_json(d: dict, path: str = "matroid") -> "Matroid":
         """Parse `d`; `path` locates it in the document for error messages."""
 
-        def get(key, *kinds):
-            return read_field(d, key, path, *kinds)
+        def get(key, *kinds, lo=None, hi=None):
+            return read_field(d, key, path, *kinds, lo=lo, hi=hi)
 
         kind = get("kind", str)
         if kind == "uniform":
-            m = uniform_matroid(get("n", int), get("k", int))
+            m = uniform_matroid(get("n", int, lo=0), get("k", int, lo=0))
         elif kind == "partition":
+            n = get("n", int, lo=0)
             m = partition_matroid(
-                get("n", int), get("parts", list, list, int), get("capacities", list, int)
+                n,
+                get("parts", list, list, int, lo=0, hi=n - 1),
+                get("capacities", list, int, lo=0),
             )
         elif kind == "graphic":
-            edges = get("edges", list, list, int)
+            n_vertices = get("n_vertices", int, lo=0)
+            edges = get("edges", list, list, int, lo=0, hi=n_vertices - 1)
             for i, edge in enumerate(edges):
                 if len(edge) != 2:
                     raise ValueError(f"{path}.edges[{i}]: expected two endpoints")
-            m = graphic_matroid(get("n_vertices", int), edges)
+            m = graphic_matroid(n_vertices, edges)
         elif kind == "explicit":
-            m = explicit_matroid(get("n", int), get("independent_sets", list, list, int))
+            n = get("n", int, lo=0)
+            m = explicit_matroid(n, get("independent_sets", list, list, int, lo=0, hi=n - 1))
         else:
             raise ValueError(f"{path}.kind: unknown matroid kind {kind!r}")
-        for e in get("contracted", list, int) if "contracted" in d else []:
-            m = m.contract(e)
+        if "contracted" in d:
+            for e in get("contracted", list, int, lo=0, hi=m.ground_size - 1):
+                m = m.contract(e)
         return m
 
     def __repr__(self):

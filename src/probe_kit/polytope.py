@@ -1,5 +1,6 @@
 """Matroid-polytope membership, convex decomposition into independent sets,
-and the exchange-guided support update applied after each probe.
+the exchange-guided support update applied after each probe, and the trim
+that turns the updated decomposition into one of the new point.
 
 A fractional point is a length-n sequence of reals in [0,1] (coordinates of
 contracted elements must be 0).  A decomposition is a list of
@@ -102,10 +103,24 @@ def implied_vector_masks(terms: MaskTerms, n: int) -> List[float]:
 
 
 def _merge_terms(terms: MaskTerms) -> MaskTerms:
+    """Sum the weights of equal sets.
+
+    A set of total weight <= EPS gives its weight to the empty set, which is
+    independent in every matroid, so the weights keep their sum.
+    """
     acc = {}
     for w, mask in terms:
         acc[mask] = acc.get(mask, 0.0) + w
-    return [(w, mask) for mask, w in acc.items() if w > EPS] or [(1.0, 0)]
+    empty = acc.pop(0, 0.0)
+    out = []
+    for mask, w in acc.items():
+        if w > EPS:
+            out.append((w, mask))
+        else:
+            empty += w
+    if empty > 0.0:
+        out.append((empty, 0))
+    return out or [(1.0, 0)]
 
 
 def _caratheodory_reduce(terms: MaskTerms, n: int) -> MaskTerms:
@@ -203,7 +218,7 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
             break
     if support:
         return _decompose_lp(m, x)
-    if w_rem > EPS:
+    if w_rem > 0.0:
         terms.append((w_rem, 0))
     terms = _merge_terms(terms)
     if len(terms) > n + 1:
@@ -302,6 +317,51 @@ def support_update_masks(
             else:
                 out.append((w, bmask & ~(1 << f)))
     return out
+
+
+def trim_masks(
+    terms: MaskTerms, implied: Sequence[float], target: Sequence[float]
+) -> MaskTerms:
+    """Shrink the sets of `terms` until their implied vector is `target`.
+
+    `implied` is the implied vector of `terms` and must dominate `target`
+    coordinate-wise.  For each coordinate i with excess d = implied_i -
+    target_i, element i is removed from the terms that contain it, in term
+    order, until d is used up; at most one term per element is split in two,
+    and a target of 0 drops i from every term.  An excess of at most EPS is
+    left, and a term that would keep at most EPS of its weight loses i whole,
+    so no split makes a term of weight <= EPS and each coordinate lands
+    within EPS of its target.  Sets only shrink, so every term stays
+    independent in any matroid it was independent in; at most n+1 terms are
+    kept.
+    """
+    n = len(target)
+    terms = list(terms)
+    for i in range(n):
+        ibit = 1 << i
+        if target[i] <= 0.0:
+            if implied[i] > 0.0:
+                terms = [(w, mask & ~ibit) for w, mask in terms]
+            continue
+        d = implied[i] - target[i]
+        if d <= EPS:
+            continue
+        for j, (w, mask) in enumerate(terms):
+            if not mask & ibit:
+                continue
+            if w - d <= EPS:
+                terms[j] = (w, mask & ~ibit)
+                d -= w
+                if d <= EPS:
+                    break
+            else:
+                terms[j] = (w - d, mask)
+                terms.append((d, mask & ~ibit))
+                break
+    terms = _merge_terms(terms)
+    if len(terms) > n + 1:
+        terms = _caratheodory_reduce(terms, n)
+    return terms
 
 
 def support_update(

@@ -149,6 +149,36 @@ class TestRun:
         assert code == 1
         assert "ground.size: expected int, got str" in stderr
 
+    @pytest.mark.parametrize(
+        "matroid, message",
+        [
+            ({"kind": "uniform", "n": -1, "k": 1}, "outer[0].n: expected a value >= 0, got -1"),
+            (
+                {"kind": "uniform", "n": 4, "k": 2, "contracted": [-1]},
+                "outer[0].contracted[0]: expected a value in 0..3, got -1",
+            ),
+            (
+                {"kind": "explicit", "n": 4, "independent_sets": [[], [0], [-1]]},
+                "outer[0].independent_sets[2][0]: expected a value in 0..3, got -1",
+            ),
+            (
+                {"kind": "partition", "n": 4, "parts": [[0, 1, 2, 3]], "capacities": [-1]},
+                "outer[0].capacities[0]: expected a value >= 0, got -1",
+            ),
+        ],
+        ids=["uniform-n", "contracted", "explicit-set", "partition-capacity"],
+    )
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_out_of_range_field_names_field(
+        self, instance_file, capsys, command, matroid, message
+    ):
+        doc = json.loads(instance_file.read_text())
+        doc["outer"][0] = matroid
+        instance_file.write_text(json.dumps(doc))
+        code, _, stderr = _run(capsys, command, "--instance", str(instance_file))
+        assert code == 1
+        assert f"error: {message}" in stderr
+
     def test_env_var_override(self, instance_file, capsys, monkeypatch):
         monkeypatch.setenv("PROBE_KIT_RUN_TRIALS", "123")
         code, stdout, _ = _run(capsys, "run", "--instance", str(instance_file))

@@ -5,7 +5,11 @@ import random
 
 import pytest
 
+import probe_kit.engine
+import probe_kit.polytope
 from probe_kit.engine import (
+    apply_step,
+    draw_choices,
     init_state,
     potential,
     run_policy,
@@ -13,7 +17,8 @@ from probe_kit.engine import (
     simulate_value,
     step,
 )
-from probe_kit.instances import ProbingInstance
+from probe_kit.instances import ProbingInstance, gen_bipartite_matching
+from probe_kit.polytope import implied_vector_masks
 from probe_kit.matroids import free_matroid, uniform_matroid
 from probe_kit.objectives import LinearObjective, multilinear_exact
 from probe_kit.relaxation import solve_relaxation
@@ -160,6 +165,23 @@ class TestPotential:
             multilinear_exact(inst.objective, px).value, abs=1e-9
         )
 
+    def test_potential_is_computed_on_first_access_only(self, monkeypatch):
+        inst = random_instance(11, objective="coverage")
+        x0 = solve_relaxation(inst, cg_steps=30).x0
+        calls = []
+
+        def counting(state):
+            calls.append(state)
+            return potential(state)
+
+        monkeypatch.setattr(probe_kit.engine, "potential", counting)
+        simulate_value(inst, x0, spawn_rng(0, "lazy"))
+        assert calls == []
+        state = init_state(inst, x0)
+        assert state.z == potential(state)
+        assert state.z == potential(state)
+        assert len(calls) == 1
+
     def test_potential_nonincreasing_in_expectation_linear(self):
         # not a per-path guarantee; check the recorded z never goes negative
         inst = random_instance(10, objective="linear")
@@ -167,3 +189,63 @@ class TestPotential:
         trace = run_policy(inst, sol.x0, spawn_rng(0, "z"))
         for s in trace.steps:
             assert s.z_after >= -1e-9
+
+
+def _trim_cases():
+    for seed in range(12):
+        inst = random_instance(700 + seed, objective="coverage" if seed % 3 == 0 else "linear")
+        yield inst, solve_relaxation(inst, cg_steps=30).x0
+    for seed in range(2):
+        rng = spawn_rng(seed, "trim-matching")
+        inst = gen_bipartite_matching(3, 3, [2] * 3, [1] * 3, 0.9, rng)
+        yield inst, solve_relaxation(inst).x0
+
+
+def _assert_exact_decompositions(state):
+    inst = state.inst
+    px = [inst.p[i] * state.x[i] for i in range(inst.n)]
+    for matroids, decompositions, vec in (
+        (state.outer_m, state.outer_terms, state.x),
+        (state.inner_m, state.inner_terms, px),
+    ):
+        for m, terms in zip(matroids, decompositions):
+            assert all(m.indep_mask(mask) for _, mask in terms)
+            assert all(w > 0.0 for w, _ in terms)
+            assert abs(sum(w for w, _ in terms) - 1.0) <= 1e-12
+            implied = implied_vector_masks(terms, inst.n)
+            assert max(abs(a - b) for a, b in zip(implied, vec)) <= 1e-9
+            assert len(terms) <= inst.n + 1
+
+
+class TestTrimmedDecompositions:
+    def test_every_step_keeps_exact_decompositions(self):
+        steps = 0
+        for case, (inst, x0) in enumerate(_trim_cases()):
+            for trial in range(15):
+                rng = spawn_rng(case, "trim", trial)
+                state = init_state(inst, x0)
+                while (choices := draw_choices(state, rng)) is not None:
+                    state = apply_step(state, choices)
+                    _assert_exact_decompositions(state)
+                    steps += 1
+        assert steps > 300
+
+    def test_apply_step_never_decomposes(self, monkeypatch):
+        calls = []
+        for module in (probe_kit.engine, probe_kit.polytope):
+            decompose_masks = module.decompose_masks
+
+            def counting(m, x, decompose_masks=decompose_masks):
+                calls.append(m)
+                return decompose_masks(m, x)
+
+            monkeypatch.setattr(module, "decompose_masks", counting)
+        for case, (inst, x0) in enumerate(_trim_cases()):
+            state = init_state(inst, x0)
+            assert len(calls) == len(inst.outer) + len(inst.inner)
+            calls.clear()
+            rng = spawn_rng(case, "no-peel")
+            while (choices := draw_choices(state, rng)) is not None:
+                state = apply_step(state, choices)
+            assert state.q_mask  # at least one step was taken
+            assert calls == []

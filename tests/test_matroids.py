@@ -216,6 +216,10 @@ class TestRankTable:
         with pytest.raises(ValueError, match="outside the ground set"):
             partition_matroid(4, [[0, element]], [1])
 
+    def test_negative_partition_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacities must be >= 0"):
+            partition_matroid(4, [[0, 1], [2, 3]], [1, -1])
+
     def test_random_kinds(self):
         rng = random.Random(11)
         for _ in range(100):
