@@ -28,7 +28,6 @@ from .objectives import (
     f_plus_bruteforce,
     multilinear_exact,
     multilinear_sample,
-    partial_derivative,
 )
 from .oracle import optimal_adaptive_value, optimal_policy_tree, policy_value_exact
 from .polytope import ConvexDecomposition, decompose, in_polytope, support_update

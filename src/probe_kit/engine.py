@@ -135,10 +135,7 @@ def potential(state: PolicyState) -> float:
     for i, v in enumerate(state.x):
         if v > 0.0:
             y[i] = inst.p[i] * v
-    chi_s = multilinear_value_from_table(
-        table, [1.0 if state.s_mask >> i & 1 else 0.0 for i in range(inst.n)]
-    )
-    return multilinear_value_from_table(table, y) - chi_s
+    return multilinear_value_from_table(table, y) - table[state.s_mask]
 
 
 def bits_of_support(x: Sequence[float]):

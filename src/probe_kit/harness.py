@@ -46,6 +46,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if self.mode not in ("auto", "linear", "submodular"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -165,7 +167,8 @@ def mc_policy_value(
         (start, min(CHUNK, trials - start)) for start in range(0, trials, CHUNK)
     ]
     if jobs > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # fork starts every worker at the first submit: never more than chunks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             results = list(
                 pool.map(
                     _run_chunk_star,

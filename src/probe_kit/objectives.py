@@ -1,6 +1,6 @@
 """Objective evaluation: linear and monotone submodular set functions, the
-multilinear extension F (exact and sampled), its partial derivatives, and the
-correlation-gap relaxation solved by brute force.
+multilinear extension F (exact and sampled), and the correlation-gap
+relaxation solved by brute force.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Callable, Iterable, List, Sequence
 
 import numpy as np
 
@@ -170,46 +170,38 @@ def _split_point(y: Sequence[float]):
     return base, frac
 
 
+def _enumerate_multilinear(value: Callable[[int], float], y: Sequence[float]) -> float:
+    """F(y) = sum over masks R of Pr_y[R] * value(R), enumerating only the
+    fractional coordinates of y; `value` is `f.value_mask` or a table lookup."""
+    base, frac = _split_point(y)
+    total = 0.0
+    k = len(frac)
+    for sub in range(1 << k):
+        mask = base
+        prob = 1.0
+        for j in range(k):
+            i, v = frac[j]
+            if sub >> j & 1:
+                mask |= 1 << i
+                prob *= v
+            else:
+                prob *= 1.0 - v
+        total += prob * value(mask)
+    return total
+
+
 def multilinear_exact(f: Objective, y: Sequence[float]) -> MultilinearValue:
     """F(y) by exact enumeration over the fractional coordinates of y."""
     if f.n > EXACT_CAP:
         raise CapabilityError(f"exact multilinear limited to {EXACT_CAP} elements")
     if len(y) != f.n:
         raise ValueError("dimension mismatch")
-    base, frac = _split_point(y)
-    total = 0.0
-    k = len(frac)
-    for sub in range(1 << k):
-        mask = base
-        prob = 1.0
-        for j in range(k):
-            i, v = frac[j]
-            if sub >> j & 1:
-                mask |= 1 << i
-                prob *= v
-            else:
-                prob *= 1.0 - v
-        total += prob * f.value_mask(mask)
-    return MultilinearValue(total, 0.0)
+    return MultilinearValue(_enumerate_multilinear(f.value_mask, y), 0.0)
 
 
 def multilinear_value_from_table(table: Sequence[float], y: Sequence[float]) -> float:
     """F(y) using a precomputed value table; hot path for the engine."""
-    base, frac = _split_point(y)
-    total = 0.0
-    k = len(frac)
-    for sub in range(1 << k):
-        mask = base
-        prob = 1.0
-        for j in range(k):
-            i, v = frac[j]
-            if sub >> j & 1:
-                mask |= 1 << i
-                prob *= v
-            else:
-                prob *= 1.0 - v
-        total += prob * table[mask]
-    return total
+    return _enumerate_multilinear(table.__getitem__, y)
 
 
 def multilinear_sample(
@@ -235,16 +227,6 @@ def multilinear_sample(
         return MultilinearValue(mean, 0.0)
     var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
     return MultilinearValue(mean, math.sqrt(var / n_samples))
-
-
-def partial_derivative(f: Objective, y: Sequence[float], e: int) -> float:
-    """dF/dy_e at y, exact: F(y with y_e=1) - F(y with y_e=0)."""
-    if not 0 <= e < f.n:
-        raise ValueError("element outside ground set")
-    hi = list(y)
-    lo = list(y)
-    hi[e], lo[e] = 1.0, 0.0
-    return multilinear_exact(f, hi).value - multilinear_exact(f, lo).value
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from .errors import CapabilityError
 from .instances import ProbingInstance
@@ -22,6 +22,7 @@ from .polytope import in_polytope
 LP_ENUM_CAP = 16  # constraint-enumeration limit on |E|
 FEAS_TOL = 1e-7
 SHRINK = 1.0 - 1e-9  # pull solver output strictly inside the polytope
+TIGHT_TOL = 1e-9  # slack under which a constraint counts as tight at a vertex
 
 
 @dataclass
@@ -129,12 +130,82 @@ def lp_optimum(inst: ProbingInstance) -> float:
     return value
 
 
+def _product_weights(q: np.ndarray) -> np.ndarray:
+    """Pr[R] for every mask R when each i joins R independently with probability q_i.
+
+    Built by n doublings; index R of the flat result is the mask R.
+    """
+    w = np.ones(1)
+    for qi in q:
+        w = np.concatenate((w * (1.0 - qi), w * qi))
+    return w
+
+
+def _coordinate_differences(table: np.ndarray, n: int) -> List[np.ndarray]:
+    """table[R + e] - table[R] over the masks R without e, one array per e.
+
+    A mask's bit e is axis n - 1 - e of the (2,)*n view of the table, so each
+    array lines up with the product weights summed over that axis.
+    """
+    cube = table.reshape((2,) * n)
+    return [
+        np.take(cube, 1, axis=n - 1 - e) - np.take(cube, 0, axis=n - 1 - e) for e in range(n)
+    ]
+
+
+def _scaled_gradient(
+    weights: np.ndarray, diffs: List[np.ndarray], p: np.ndarray
+) -> np.ndarray:
+    """p_e * dF/dy_e for every e, at the point whose product weights are given.
+
+    Summing the weights over element e's axis leaves Pr[R] over the other
+    elements, so each derivative is one dot product with `diffs[e]`.
+    """
+    n = len(p)
+    w = weights.reshape((2,) * n)
+    return p * np.array([np.vdot(w.sum(axis=n - 1 - e), diffs[e]) for e in range(n)])
+
+
+def _vertex_still_optimal(
+    v: np.ndarray, omega: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray
+) -> bool:
+    """KKT certificate: omega is a nonnegative combination of the constraint
+    normals tight at v (rank rows, and the box facets v_i = 1 and v_i = 0)."""
+    eye = np.eye(len(v))
+    normals = np.vstack(
+        (
+            a_ub[a_ub @ v >= b_ub - TIGHT_TOL],
+            eye[v >= 1.0 - TIGHT_TOL],
+            -eye[v <= TIGHT_TOL],
+        )
+    )
+    if not len(normals):  # scipy's nnls aborts the process on a matrix without columns
+        return False
+    _, residual = nnls(normals.T, omega)
+    return residual <= 1e-9 * max(1.0, float(np.linalg.norm(omega)))
+
+
+def _greedy_vertex(
+    omega: np.ndarray, v, a_ub: np.ndarray, b_ub: np.ndarray
+) -> np.ndarray:
+    """A vertex maximizing omega.x over the polytope: the previous vertex v
+    while it stays optimal, otherwise a fresh LP solve."""
+    if v is not None and _vertex_still_optimal(v, omega, a_ub, b_ub):
+        return v
+    x, _ = solve_lp(LinearProgram(c=omega, a_ub=a_ub, b_ub=b_ub))
+    return x
+
+
 def continuous_greedy(inst: ProbingInstance, steps: int = 200) -> RelaxedSolution:
     """Discretized ascent of F(p * y) over the joint polytope.
 
-    Each iteration solves the LP maximizing the current multilinear gradient
-    direction and moves y a 1/steps fraction towards the optimizer; the final
-    y is an average of feasible points, hence feasible.
+    Each iteration finds a vertex maximizing the current multilinear gradient
+    direction and moves y a 1/steps fraction towards it; the final y is an
+    average of feasible points, hence feasible.  With w the product weights
+    of p * y over all masks, p_e dF/dy_e is w with coordinate e summed out,
+    dotted with table[R + e] - table[R].  The LP is solved again only when
+    the previous vertex stops being optimal for the new gradient, which
+    happens only a few times over a run.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -142,22 +213,18 @@ def continuous_greedy(inst: ProbingInstance, steps: int = 200) -> RelaxedSolutio
     table = inst.objective.value_table()
     a_ub, b_ub = _polytope_rows(inst)
     p = np.asarray(inst.p, dtype=float)
+    flat = np.asarray(table, dtype=float)
+    diffs = _coordinate_differences(flat, n)
     y = np.zeros(n)
+    weights = _product_weights(p * y)
+    v = None
     values = []
     for _ in range(steps):
-        py = p * y
-        omega = np.empty(n)
-        for e in range(n):
-            hi = py.copy()
-            lo = py.copy()
-            hi[e], lo[e] = 1.0, 0.0
-            grad = multilinear_value_from_table(table, hi) - multilinear_value_from_table(
-                table, lo
-            )
-            omega[e] = p[e] * grad
-        v, _ = solve_lp(LinearProgram(c=omega, a_ub=a_ub, b_ub=b_ub))
+        omega = _scaled_gradient(weights, diffs, p)
+        v = _greedy_vertex(omega, v, a_ub, b_ub)
         y = y + v / steps
-        values.append(multilinear_value_from_table(table, p * y))
+        weights = _product_weights(p * y)
+        values.append(float(weights @ flat))
     x0 = _repair_point(inst, np.clip(y, 0.0, 1.0))
     final_value = multilinear_value_from_table(table, p * x0)
     return RelaxedSolution(

@@ -1,4 +1,5 @@
-"""Monte Carlo harness: transition reuse within a chunk keeps sums exact."""
+"""Monte Carlo harness: transition reuse within a chunk keeps sums exact, and
+`jobs` is checked and never starts more workers than there are chunks."""
 
 import math
 
@@ -8,7 +9,7 @@ import probe_kit.engine
 import probe_kit.harness
 from probe_kit.cli import main
 from probe_kit.engine import simulate_value
-from probe_kit.harness import CHUNK, mc_policy_value
+from probe_kit.harness import CHUNK, ExperimentConfig, mc_policy_value
 from probe_kit.relaxation import solve_relaxation
 from probe_kit.seeding import spawn_rng
 
@@ -96,3 +97,42 @@ def test_jobs_do_not_change_the_report(tmp_path, capsys):
         reports.append(out.read_bytes())
     capsys.readouterr()
     assert reports[1] == reports[0]
+
+
+def test_pool_never_exceeds_the_chunk_count(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    inst = random_instance(6, objective="coverage")
+    x0 = solve_relaxation(inst, cg_steps=20).x0
+    monkeypatch.setattr(probe_kit.harness, "ProcessPoolExecutor", InProcessPool)
+    trials = 2 * CHUNK
+    pooled = mc_policy_value(inst, x0, trials, seed=2, jobs=64)
+    assert sizes == [2]
+    assert pooled == mc_policy_value(inst, x0, trials, seed=2, jobs=1)
+    assert sizes == [2]  # jobs=1 runs without a pool
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected(jobs, tmp_path, capsys):
+    with pytest.raises(ValueError, match="jobs"):
+        ExperimentConfig(jobs=jobs)
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "--size", "4", "--seed", "1", "--out", str(inst)]) == 0
+    argv = ["run", "--instance", str(inst), "--trials", "10", "--jobs", str(jobs)]
+    assert main(argv) == 1
+    assert "jobs must be >= 1" in capsys.readouterr().err

@@ -17,8 +17,8 @@ from probe_kit.objectives import (
     multilinear_exact,
     multilinear_sample,
     objective_structure_violations,
-    partial_derivative,
 )
+from conftest import partial_derivative
 
 
 class TestSetValues:

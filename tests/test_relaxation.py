@@ -5,14 +5,19 @@ import random
 import numpy as np
 import pytest
 
+import probe_kit.relaxation
 from probe_kit.errors import CapabilityError
-from probe_kit.instances import ProbingInstance, gen_bipartite_matching
+from probe_kit.instances import ProbingInstance, gen_bipartite_matching, gen_random
 from probe_kit.matroids import bits, free_matroid, uniform_matroid
-from probe_kit.objectives import LinearObjective
+from probe_kit.objectives import CoverageObjective, LinearObjective, multilinear_value_from_table
 from probe_kit.oracle import optimal_adaptive_value
 from probe_kit.relaxation import (
     LinearProgram,
+    _coordinate_differences,
     _polytope_rows,
+    _product_weights,
+    _repair_point,
+    _scaled_gradient,
     build_probing_lp,
     continuous_greedy,
     enumerate_basic_solutions,
@@ -22,7 +27,8 @@ from probe_kit.relaxation import (
     solve_lp,
     solve_relaxation,
 )
-from conftest import random_instance
+from probe_kit.seeding import spawn_rng
+from conftest import partial_derivative, random_instance
 
 
 class TestSolveLp:
@@ -233,6 +239,142 @@ class TestContinuousGreedy:
         sub = random_instance(1, n=4, objective="coverage")
         assert solve_relaxation(lin).mode == "lp"
         assert solve_relaxation(sub).mode == "continuous_greedy"
+
+
+def _reference_continuous_greedy(inst, steps):
+    """Reference: per-coordinate enumerated gradients and an LP solve every step."""
+    n = inst.n
+    table = inst.objective.value_table()
+    a_ub, b_ub = _polytope_rows(inst)
+    p = np.asarray(inst.p, dtype=float)
+    y = np.zeros(n)
+    for _ in range(steps):
+        py = p * y
+        omega = np.empty(n)
+        for e in range(n):
+            hi = py.copy()
+            lo = py.copy()
+            hi[e], lo[e] = 1.0, 0.0
+            grad = multilinear_value_from_table(table, hi) - multilinear_value_from_table(
+                table, lo
+            )
+            omega[e] = p[e] * grad
+        v, _ = solve_lp(LinearProgram(c=omega, a_ub=a_ub, b_ub=b_ub))
+        y = y + v / steps
+    x0 = _repair_point(inst, np.clip(y, 0.0, 1.0))
+    return x0, multilinear_value_from_table(table, p * x0)
+
+
+def _submodular_instances(count, seed_base):
+    return [
+        random_instance(
+            seed_base + i,
+            k_in=i % 3,
+            k_out=1 + (i // 3) % 2,
+            objective=("coverage", "weighted_matroid_rank")[i % 2],
+        )
+        for i in range(count)
+    ]
+
+
+def _counting_solves(monkeypatch):
+    calls = [0]
+    solve = probe_kit.relaxation.solve_lp
+
+    def counting(lp):
+        calls[0] += 1
+        return solve(lp)
+
+    monkeypatch.setattr(probe_kit.relaxation, "solve_lp", counting)
+    return calls
+
+
+class TestVectorizedContinuousGreedy:
+    """One gradient per step from the product weights, and an LP solve only
+    when the previous vertex stops being optimal."""
+
+    @pytest.mark.parametrize("objective", ["coverage", "weighted_matroid_rank"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gradient_matches_partial_derivative(self, objective, n):
+        rng = spawn_rng(n, "gradient", objective)
+        inst = gen_random(n, 0, 1, objective, rng)
+        f = inst.objective
+        diffs = _coordinate_differences(np.asarray(f.value_table()), n)
+        for _ in range(4):
+            y = np.array([rng.choice([0.0, 1.0, rng.random()]) for _ in range(n)])
+            for p in (np.asarray(inst.p), np.ones(n)):
+                q = p * y
+                omega = _scaled_gradient(_product_weights(q), diffs, p)
+                for e in range(n):
+                    assert abs(omega[e] - p[e] * partial_derivative(f, q, e)) <= 1e-12
+
+    def test_product_weights_and_trajectory_value(self):
+        inst = random_instance(31, n=6, objective="coverage")
+        q = np.array([0.0, 0.3, 1.0, 0.7, 0.5, 0.2])
+        weights = _product_weights(q)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+        table = inst.objective.value_table()
+        assert abs(weights @ np.asarray(table) - multilinear_value_from_table(table, q)) <= 1e-12
+
+    def test_matches_solve_every_step_loop(self):
+        for inst in _submodular_instances(20, 700):
+            x0, value = _reference_continuous_greedy(inst, steps=100)
+            sol = continuous_greedy(inst, steps=100)
+            assert np.max(np.abs(sol.x0 - x0)) <= 1e-12
+            assert abs(sol.objective_value - value) <= 1e-12
+
+    def test_every_step_reaches_the_lp_optimum(self, monkeypatch):
+        picked = []
+        greedy_vertex = probe_kit.relaxation._greedy_vertex
+
+        def recording(omega, v, a_ub, b_ub):
+            vertex = greedy_vertex(omega, v, a_ub, b_ub)
+            picked.append((omega, vertex, a_ub, b_ub))
+            return vertex
+
+        monkeypatch.setattr(probe_kit.relaxation, "_greedy_vertex", recording)
+        for inst in _submodular_instances(6, 800):
+            picked.clear()
+            continuous_greedy(inst, steps=100)
+            assert len(picked) == 100
+            for omega, vertex, a_ub, b_ub in picked:
+                _, opt = solve_lp(LinearProgram(c=omega, a_ub=a_ub, b_ub=b_ub))
+                assert omega @ vertex >= opt - 1e-9 * (1.0 + abs(opt))
+                assert np.all(a_ub @ vertex <= b_ub + 1e-9)
+                assert np.all((vertex >= 0.0) & (vertex <= 1.0))
+
+    def test_fewer_solves_than_steps(self, monkeypatch):
+        inst = gen_random(10, 1, 1, "coverage", spawn_rng(3, "cg-solves"))
+        calls = _counting_solves(monkeypatch)
+        continuous_greedy(inst, steps=200)
+        assert 1 <= calls[0] < 200
+
+    def test_single_step(self, monkeypatch):
+        calls = _counting_solves(monkeypatch)
+        for inst in _submodular_instances(4, 900):
+            calls[0] = 0
+            x0, value = _reference_continuous_greedy(inst, steps=1)
+            sol = continuous_greedy(inst, steps=1)
+            assert calls[0] == 1
+            assert np.max(np.abs(sol.x0 - x0)) <= 1e-12
+            assert abs(sol.objective_value - value) <= 1e-12
+            assert len(sol.trajectory_values) == 1
+
+    def test_polytope_without_rows(self, monkeypatch):
+        inst = ProbingInstance(
+            n=3,
+            p=[0.5, 0.8, 1.0],
+            objective=CoverageObjective([[0], [0, 1], [2]], [1.0, 2.0, 0.5]),
+            inner=[free_matroid(3)],
+            outer=[free_matroid(3)],
+        )
+        assert _polytope_rows(inst)[0].shape == (0, 3)
+        calls = _counting_solves(monkeypatch)
+        sol = continuous_greedy(inst, steps=50)
+        assert calls[0] == 1  # the all-ones vertex stays optimal
+        x0, value = _reference_continuous_greedy(inst, steps=50)
+        assert np.max(np.abs(sol.x0 - x0)) <= 1e-12
+        assert abs(sol.objective_value - value) <= 1e-12
 
 
 class TestFPlusOverPolytope:
