@@ -25,11 +25,10 @@ from .objectives import (
     LinearObjective,
     Objective,
     WeightedRankObjective,
-    f_plus_bruteforce,
     multilinear_exact,
     multilinear_sample,
 )
-from .oracle import optimal_adaptive_value, optimal_policy_tree, policy_value_exact
+from .oracle import optimal_adaptive_value
 from .polytope import ConvexDecomposition, decompose, in_polytope, support_update
 from .relaxation import (
     LinearProgram,

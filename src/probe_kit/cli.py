@@ -44,7 +44,7 @@ def cli():
 
 @cli.command("generate")
 @click.option("--kind", type=click.Choice(["random", "bipartite", "posted-pricing"]), default="random", show_default=True)
-@click.option("--size", type=int, default=6, show_default=True, help="ground-set size (random) / side size (bipartite) / agents (posted-pricing)")
+@click.option("--size", type=click.IntRange(min=1), default=6, show_default=True, help="ground-set size (random) / side size (bipartite) / agents (posted-pricing)")
 @click.option("--k-in", type=int, default=1, show_default=True)
 @click.option("--k-out", type=int, default=1, show_default=True)
 @click.option("--objective", type=click.Choice(["linear", "coverage", "weighted_matroid_rank"]), default="linear", show_default=True)
@@ -144,7 +144,10 @@ def main(argv=None) -> int:
         return EXIT_OK
     except click.exceptions.Exit as exc:  # --help and friends
         return int(exc.exit_code)
-    except (click.UsageError, ValueError) as exc:
+    except click.UsageError as exc:  # names the offending option
+        click.echo(f"error: {exc.format_message()}", err=True)
+        return EXIT_USAGE
+    except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_USAGE
     except VerificationError as exc:

@@ -50,53 +50,33 @@ def _update_deltas(
     return tuple(out)
 
 
-def outer_update_atoms(
-    m: Matroid, terms: MaskTerms, x: Sequence[float], p: Sequence[float]
+def update_atoms(
+    m: Matroid,
+    terms: MaskTerms,
+    x: Sequence[float],
+    p: Sequence[float],
+    inner: bool = False,
 ) -> List[StepAtom]:
-    """Outcome atoms of one outer-matroid update step.
+    """Outcome atoms of one matroid's update step.
 
-    The element e is probed with probability x_e/Sigma and the guide term a
-    (containing e) is chosen with probability beta_a/x_e, so the joint
-    probability of the pair collapses to beta_a/Sigma.
+    The element e is probed with probability x_e/Sigma.  An outer matroid's
+    terms decompose x: the guide term a (containing e) is chosen with
+    probability beta_a/x_e, so the pair has probability beta_a/Sigma, and the
+    losses are scaled by p_i.  An inner matroid's terms decompose p*x and
+    update only when the probe succeeds: the pair probability is
+    (x_e/Sigma) * p_e * beta_a/(p_e x_e) = beta_a/Sigma again, the losses are
+    already in p_i x_i units, and failed probes join the zero-loss atom.
     """
     n = len(x)
     sigma = sum(x)
+    scale = [1.0] * n if inner else p
     atoms = []
     for a, (w, mask) in enumerate(terms):
         for e in bits(mask):
-            if x[e] <= 0.0:
+            if x[e] <= 0.0 or (inner and p[e] <= 0.0):
                 continue
             atoms.append(
-                StepAtom(prob=w / sigma, deltas=_update_deltas(m, terms, p, e, a, n))
-            )
-    rest = 1.0 - sum(atom.prob for atom in atoms)
-    if rest > 1e-12:
-        atoms.append(StepAtom(prob=rest, deltas=tuple([0.0] * n)))
-    return atoms
-
-
-def inner_update_atoms(
-    m: Matroid, terms_px: MaskTerms, x: Sequence[float], p: Sequence[float]
-) -> List[StepAtom]:
-    """Outcome atoms of one inner-matroid update step (success-gated).
-
-    The update fires only when the probe succeeds; pair probability is
-    (x_e/Sigma) * p_e * beta_a/(p_e x_e) = beta_a/Sigma, and failed probes
-    contribute a zero-loss atom.  terms_px decomposes the vector p*x, so the
-    reported losses are already in p_i x_i units.
-    """
-    n = len(x)
-    sigma = sum(x)
-    ones = [1.0] * n
-    atoms = []
-    for a, (w, mask) in enumerate(terms_px):
-        for e in bits(mask):
-            if x[e] <= 0.0 or p[e] <= 0.0:
-                continue
-            atoms.append(
-                StepAtom(
-                    prob=w / sigma, deltas=_update_deltas(m, terms_px, ones, e, a, n)
-                )
+                StepAtom(prob=w / sigma, deltas=_update_deltas(m, terms, scale, e, a, n))
             )
     rest = 1.0 - sum(atom.prob for atom in atoms)
     if rest > 1e-12:
@@ -121,15 +101,16 @@ def step_outcome_atoms(state: PolicyState) -> List[StepAtom]:
         if state.x[e] <= 0.0:
             continue
         pe_sel = state.x[e] / sigma
+        # the guides draw_choices can return, each with its probability
+        outer_tables, inner_tables = state.guide_tables(e)
         outer_options = [
-            [(a, w / state.x[e]) for a, (w, mask) in enumerate(terms) if mask >> e & 1]
-            for terms in state.outer_terms
+            [(a, terms[a][0] / state.x[e]) for a in table[0]] if table else []
+            for terms, table in zip(state.outer_terms, outer_tables)
         ]
         pex = inst.p[e] * state.x[e]
         inner_options = [
-            [(a, w / pex) for a, (w, mask) in enumerate(terms) if mask >> e & 1]
-            or [(None, 1.0)]
-            for terms in state.inner_terms
+            [(a, terms[a][0] / pex) for a in table[0]] if table else [(None, 1.0)]
+            for terms, table in zip(state.inner_terms, inner_tables)
         ]
         for outer_combo in itertools.product(*outer_options):
             guide_prob = pe_sel

@@ -4,16 +4,20 @@ reconciliation, with bit-for-bit replayable traces.
 
 The sampled choices of one step are isolated in `StepChoices`, so the same
 deterministic core (`apply_step`) serves both the Monte Carlo runner and the
-exact single-step outcome enumeration used by the drift harness.
+exact single-step outcome enumeration used by the drift harness.  Every draw
+reads the cumulative tables a state caches on first use (`element_table`,
+`guide_tables`), so a state the Monte Carlo loop meets again draws without
+rebuilding them.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation
 from .instances import ProbingInstance
@@ -30,6 +34,16 @@ from .polytope import (
 SIGMA_EPS = 1e-9
 COORD_EPS = 1e-9
 
+# keys in draw order, with the running sum of their weights after each key
+DrawTable = Tuple[Tuple[int, ...], Tuple[float, ...]]
+
+
+class StepChoices(NamedTuple):
+    element: int
+    active: bool
+    outer_guides: Tuple[int, ...]
+    inner_guides: Tuple[Optional[int], ...]
+
 
 @dataclass
 class PolicyState:
@@ -42,11 +56,45 @@ class PolicyState:
     outer_terms: List[MaskTerms]
     inner_terms: List[MaskTerms]
     sigma: float
+    # successor per drawn StepChoices, filled by the Monte Carlo loop
+    children: Dict[StepChoices, "PolicyState"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _guides: Dict[int, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @cached_property
     def z(self) -> float:
         """The potential, computed on first access (the Monte Carlo loop never reads it)."""
         return potential(self)
+
+    @property
+    def key(self) -> tuple:
+        """The state's value; states with equal keys draw and step alike."""
+        return (
+            self.q_mask,
+            self.s_mask,
+            tuple(self.x),
+            tuple(map(tuple, self.outer_terms)),
+            tuple(map(tuple, self.inner_terms)),
+        )
+
+    @cached_property
+    def element_table(self) -> DrawTable:
+        """The elements with x_e > 0 and the running sums of x over them."""
+        return _draw_table((i, v) for i, v in enumerate(self.x) if v > 0.0)
+
+    def guide_tables(self, e: int) -> tuple:
+        """(outer, inner): per matroid, the draw table of the terms containing
+        e by weight, or None where they weigh at most 1e-15."""
+        tables = self._guides.get(e)
+        if tables is None:
+            tables = self._guides[e] = (
+                tuple(_guide_table(terms, e) for terms in self.outer_terms),
+                tuple(_guide_table(terms, e) for terms in self.inner_terms),
+            )
+        return tables
 
     @property
     def probed(self) -> frozenset:
@@ -58,14 +106,6 @@ class PolicyState:
 
     def objective_value(self) -> float:
         return self.inst.objective.value_mask(self.s_mask)
-
-
-@dataclass(frozen=True)
-class StepChoices:
-    element: int
-    active: bool
-    outer_guides: Tuple[int, ...]
-    inner_guides: Tuple[Optional[int], ...]
 
 
 @dataclass
@@ -165,41 +205,42 @@ def init_state(inst: ProbingInstance, x0: Sequence[float]) -> PolicyState:
     )
 
 
+def _draw_table(weighted: Iterable[Tuple[int, float]]) -> DrawTable:
+    keys = []
+    sums = []
+    acc = 0.0
+    for key, w in weighted:
+        acc += w
+        keys.append(key)
+        sums.append(acc)
+    return tuple(keys), tuple(sums)
+
+
+def _guide_table(terms: MaskTerms, e: int) -> Optional[DrawTable]:
+    ebit = 1 << e
+    table = _draw_table((idx, w) for idx, (w, mask) in enumerate(terms) if mask & ebit)
+    return table if table[1] and table[1][-1] > 1e-15 else None
+
+
+def _pick(table: DrawTable, r: float) -> int:
+    """The first key whose running sum exceeds r."""
+    keys, sums = table
+    k = bisect_right(sums, r)
+    return keys[k] if k < len(keys) else keys[-1]  # accumulated rounding at the tail
+
+
 def select_element(state: PolicyState, rng: random.Random) -> Optional[int]:
     """Sample an element with probability x_e / Sigma; None signals termination."""
     if state.sigma <= SIGMA_EPS:
         return None
-    r = rng.random() * state.sigma
-    acc = 0.0
-    last = None
-    for i, v in enumerate(state.x):
-        if v > 0.0:
-            acc += v
-            last = i
-            if r < acc:
-                return i
-    return last  # guards against accumulated rounding at the tail
+    return _pick(state.element_table, rng.random() * state.sigma)
 
 
-def _sample_guide(terms: MaskTerms, e: int, rng: random.Random) -> Optional[int]:
-    """Index of a term containing e, drawn proportionally to its weight."""
-    ebit = 1 << e
-    total = 0.0
-    for w, mask in terms:
-        if mask & ebit:
-            total += w
-    if total <= 1e-15:
+def _sample_guide(table: Optional[DrawTable], rng: random.Random) -> Optional[int]:
+    """Index of a term containing the probed element, drawn by weight."""
+    if table is None:
         return None
-    r = rng.random() * total
-    acc = 0.0
-    last = None
-    for idx, (w, mask) in enumerate(terms):
-        if mask & ebit:
-            acc += w
-            last = idx
-            if r < acc:
-                return idx
-    return last
+    return _pick(table, rng.random() * table[1][-1])
 
 
 def draw_choices(state: PolicyState, rng: random.Random) -> Optional[StepChoices]:
@@ -208,15 +249,14 @@ def draw_choices(state: PolicyState, rng: random.Random) -> Optional[StepChoices
     if e is None:
         return None
     active = rng.random() < state.inst.p[e]
-    outer_guides = tuple(_sample_guide(terms, e, rng) for terms in state.outer_terms)
-    if any(g is None for g in outer_guides):
+    outer_tables, inner_tables = state.guide_tables(e)
+    outer_guides = tuple([_sample_guide(t, rng) for t in outer_tables])
+    if None in outer_guides:
         raise InvariantViolation("no outer support term contains the probed element")
     if active:
-        inner_guides = tuple(
-            _sample_guide(terms, e, rng) for terms in state.inner_terms
-        )
+        inner_guides = tuple([_sample_guide(t, rng) for t in inner_tables])
     else:
-        inner_guides = tuple(None for _ in state.inner_terms)
+        inner_guides = (None,) * len(inner_tables)
     return StepChoices(e, active, outer_guides, inner_guides)
 
 

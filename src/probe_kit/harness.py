@@ -11,10 +11,20 @@ mask, x, outer and inner decompositions), and `apply_step` is deterministic
 given a state and its sampled `StepChoices`. The decompositions belong to the
 state because each step trims the previous ones: equal (q, s, x) reached
 along different paths may carry different decompositions and so draw
-different guides. Each chunk therefore computes every distinct transition
-once and reuses it for later trials. The choices are still drawn on every
-step, so each trial consumes its RNG stream exactly as without reuse and the
-sums stay bit-identical.
+different guides. An experiment therefore walks one transition graph: it
+builds the initial state once, interns every state `apply_step` returns by its
+value (`PolicyState.key`), and records each successor in the `children` of
+the state it came from, keyed by the drawn choices. A repeated step is then a
+draw from the state's cached tables and a dict lookup, and `apply_step`, with
+its feasibility assertion, runs once per distinct transition. The choices are
+still drawn on every step, so each trial consumes its RNG stream exactly as
+without reuse and the sums stay bit-identical.
+
+Every step probes a new element, so a chunk adds at most CHUNK * n states.
+At a chunk boundary a graph holding more than STORE_CAP states is dropped and
+the walk starts again from a fresh initial state. Under `jobs` > 1 each worker
+walks its own graph over a contiguous share of the chunks. The graph is freed
+when the experiment returns.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from .relaxation import RelaxedSolution, solve_relaxation
 from .seeding import spawn_rng
 
 CHUNK = 512  # trials per aggregation chunk; fixed so job count never changes sums
+STORE_CAP = 16_384  # states an experiment keeps, checked at chunk boundaries
 
 
 @dataclass
@@ -116,47 +127,38 @@ def resolve_mode(inst: ProbingInstance, mode: str) -> str:
     return mode
 
 
-def _run_chunk(inst: ProbingInstance, x0, seed: int, start: int, count: int):
-    """Aggregate `count` trials starting at trial index `start`.
-
-    Transitions are reused within the chunk, keyed by the state's value
-    (q_mask, s_mask, x, outer and inner terms) and the drawn choices: equal
-    states reached along different paths share entries. `apply_step`, and
-    with it the feasibility assertion, runs once per distinct transition. Every step probes a new
-    element, so the cache holds at most count * n states; it is freed when
-    the chunk returns.
-    """
-    state0 = init_state(inst, x0)
-    transitions = {}
-    total = 0.0
-    total_sq = 0.0
-    steps_total = 0
-    for t in range(start, start + count):
-        rng = spawn_rng(seed, "trial", t)
-        state = state0
+def _run_chunks(inst: ProbingInstance, x0, seed: int, chunks) -> List[tuple]:
+    """(sum, sum of squares, steps) of f(S) for each (start, count) chunk, in
+    order, over one transition graph."""
+    results = []
+    root = None
+    store = {}
+    for start, count in chunks:
+        if root is None or len(store) > STORE_CAP:
+            root = init_state(inst, x0)
+            store = {}
+        total = 0.0
+        total_sq = 0.0
         steps = 0
-        while True:
-            choices = draw_choices(state, rng)
-            if choices is None:
-                break
-            key = (
-                state.q_mask,
-                state.s_mask,
-                tuple(state.x),
-                tuple(map(tuple, state.outer_terms)),
-                tuple(map(tuple, state.inner_terms)),
-                choices,
-            )
-            nxt = transitions.get(key)
-            if nxt is None:
-                nxt = transitions[key] = apply_step(state, choices)
-            state = nxt
-            steps += 1
-        v = state.objective_value()
-        total += v
-        total_sq += v * v
-        steps_total += steps
-    return total, total_sq, steps_total
+        for t in range(start, start + count):
+            rng = spawn_rng(seed, "trial", t)
+            state = root
+            while (choices := draw_choices(state, rng)) is not None:
+                nxt = state.children.get(choices)
+                if nxt is None:
+                    nxt = apply_step(state, choices)
+                    nxt = state.children[choices] = store.setdefault(nxt.key, nxt)
+                state = nxt
+                steps += 1
+            v = state.objective_value()
+            total += v
+            total_sq += v * v
+        results.append((total, total_sq, steps))
+    return results
+
+
+def _run_chunks_star(args):
+    return _run_chunks(*args)
 
 
 def mc_policy_value(
@@ -166,17 +168,20 @@ def mc_policy_value(
     chunks = [
         (start, min(CHUNK, trials - start)) for start in range(0, trials, CHUNK)
     ]
-    if jobs > 1 and len(chunks) > 1:
+    workers = min(jobs, len(chunks))
+    if workers > 1:
+        shares = [
+            chunks[len(chunks) * w // workers : len(chunks) * (w + 1) // workers]
+            for w in range(workers)
+        ]
         # fork starts every worker at the first submit: never more than chunks
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-            results = list(
-                pool.map(
-                    _run_chunk_star,
-                    [(inst, list(x0), seed, s, c) for s, c in chunks],
-                )
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_worker = list(
+                pool.map(_run_chunks_star, [(inst, list(x0), seed, s) for s in shares])
             )
+        results = [r for share in per_worker for r in share]
     else:
-        results = [_run_chunk(inst, list(x0), seed, s, c) for s, c in chunks]
+        results = _run_chunks(inst, list(x0), seed, chunks)
     total = sum(r[0] for r in results)
     total_sq = sum(r[1] for r in results)
     steps_total = sum(r[2] for r in results)
@@ -187,10 +192,6 @@ def mc_policy_value(
     else:
         stderr = 0.0
     return mean, stderr, steps_total / trials
-
-
-def _run_chunk_star(args):
-    return _run_chunk(*args)
 
 
 def run_experiment(

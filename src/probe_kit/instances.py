@@ -77,7 +77,7 @@ class ProbingInstance:
             return read_field(d, key, "", *kinds)
 
         return ProbingInstance(
-            n=read_field(get("ground", dict), "size", "ground", int),
+            n=read_field(get("ground", dict), "size", "ground", int, lo=1),
             p=[float(v) for v in get("p", list, float)],
             objective=Objective.from_json(get("objective", dict)),
             inner=[

@@ -1,6 +1,5 @@
-"""Objective evaluation: linear and monotone submodular set functions, the
-multilinear extension F (exact and sampled), and the correlation-gap
-relaxation solved by brute force.
+"""Objective evaluation: linear and monotone submodular set functions and the
+multilinear extension F (exact and sampled).
 """
 
 from __future__ import annotations
@@ -10,14 +9,12 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Sequence
 
-import numpy as np
 
 from .errors import CapabilityError
 from .matroids import Matroid, bits, mask_of
 from .schema import read_field
 
 EXACT_CAP = 20  # exact multilinear enumeration limit
-FPLUS_CAP = 10  # 2^n LP columns limit
 
 
 @dataclass(frozen=True)
@@ -227,45 +224,6 @@ def multilinear_sample(
         return MultilinearValue(mean, 0.0)
     var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
     return MultilinearValue(mean, math.sqrt(var / n_samples))
-
-
-# ---------------------------------------------------------------------------
-# Correlation-gap relaxation f+
-# ---------------------------------------------------------------------------
-
-
-def f_plus_bruteforce(f: Objective, y: Sequence[float]) -> float:
-    """Best expected value over distributions with marginals dominated by y.
-
-    Solved as an LP over weights alpha_A for every A subset of E:
-    max sum alpha_A f(A) with sum alpha <= 1, alpha >= 0, and for each j
-    sum over A containing j of alpha_A <= y_j.
-    """
-    from scipy.optimize import linprog
-
-    if f.n > FPLUS_CAP:
-        raise CapabilityError(f"f+ brute force limited to {FPLUS_CAP} elements")
-    if len(y) != f.n:
-        raise ValueError("dimension mismatch")
-    n = f.n
-    ncols = 1 << n
-    table = f.value_table()
-    a_ub = np.zeros((n + 1, ncols))
-    for mask in range(ncols):
-        for i in bits(mask):
-            a_ub[i, mask] = 1.0
-        a_ub[n, mask] = 1.0
-    b_ub = np.array([min(max(float(v), 0.0), 1.0) for v in y] + [1.0])
-    res = linprog(
-        c=-np.asarray(table),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(0, None)] * ncols,
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"f+ LP failed: {res.message}")
-    return float(-res.fun)
 
 
 # ---------------------------------------------------------------------------

@@ -290,32 +290,3 @@ def max_f_plus_over_polytope(inst: ProbingInstance) -> float:
     if not res.success:
         raise RuntimeError(f"f+ polytope LP failed: {res.message}")
     return float(-res.fun)
-
-
-def enumerate_basic_solutions(lp: LinearProgram, tol: float = 1e-9):
-    """Brute-force vertex scan of a tiny LP, the independence oracle for solve_lp.
-
-    Enumerates basic solutions from all choices of n tight constraints (rows
-    or box facets) and yields the feasible ones.
-    """
-    import itertools as it
-
-    n = lp.n
-    rows = [(lp.a_ub[i], lp.b_ub[i]) for i in range(len(lp.b_ub))]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        rows.append((e, 1.0))
-        rows.append((-e, 0.0))
-    best = None
-    for combo in it.combinations(range(len(rows)), n):
-        a = np.array([rows[i][0] for i in combo])
-        b = np.array([rows[i][1] for i in combo])
-        if abs(np.linalg.det(a)) < 1e-12:
-            continue
-        x = np.linalg.solve(a, b)
-        if np.any(x < -tol) or np.any(x > 1 + tol):
-            continue
-        if lp.a_ub.size and np.any(lp.a_ub @ x > lp.b_ub + tol):
-            continue
-        yield np.clip(x, 0.0, 1.0)

@@ -1,8 +1,20 @@
 """Shared helpers and test-only oracles for the test suite."""
 
-from probe_kit.instances import gen_random
-from probe_kit.objectives import multilinear_exact
+import itertools
+import random
+from typing import Optional, Tuple
+
+import numpy as np
+
+from probe_kit.errors import CapabilityError
+from probe_kit.instances import ProbingInstance, gen_random
+from probe_kit.matroids import bits
+from probe_kit.objectives import Objective, multilinear_exact
+from probe_kit.oracle import _AdaptiveDP, _probe_candidates
+from probe_kit.relaxation import LinearProgram
 from probe_kit.seeding import spawn_rng
+
+FPLUS_CAP = 10  # 2^n LP columns limit
 
 
 def random_instance(seed, n=None, k_in=None, k_out=None, objective="linear"):
@@ -25,3 +37,172 @@ def partial_derivative(f, y, e):
     lo = list(y)
     hi[e], lo[e] = 1.0, 0.0
     return multilinear_exact(f, hi).value - multilinear_exact(f, lo).value
+
+
+# ---------------------------------------------------------------------------
+# The policy's draws as plain loops, the references for the cached tables
+# ---------------------------------------------------------------------------
+
+
+def select_element_loop(state, rng: random.Random) -> Optional[int]:
+    """An element with probability x_e / Sigma by a linear scan; None at the end."""
+    if state.sigma <= 1e-9:
+        return None
+    r = rng.random() * state.sigma
+    acc = 0.0
+    last = None
+    for i, v in enumerate(state.x):
+        if v > 0.0:
+            acc += v
+            last = i
+            if r < acc:
+                return i
+    return last
+
+
+def sample_guide_loop(terms, e: int, rng: random.Random) -> Optional[int]:
+    """Index of a term containing e, drawn by weight with a linear scan."""
+    ebit = 1 << e
+    total = 0.0
+    for w, mask in terms:
+        if mask & ebit:
+            total += w
+    if total <= 1e-15:
+        return None
+    r = rng.random() * total
+    acc = 0.0
+    last = None
+    for idx, (w, mask) in enumerate(terms):
+        if mask & ebit:
+            acc += w
+            last = idx
+            if r < acc:
+                return idx
+    return last
+
+
+def draw_choices_loop(state, rng: random.Random):
+    """(element, active, outer guides, inner guides) in the policy's draw order."""
+    e = select_element_loop(state, rng)
+    if e is None:
+        return None
+    active = rng.random() < state.inst.p[e]
+    outer = tuple(sample_guide_loop(t, e, rng) for t in state.outer_terms)
+    if active:
+        inner = tuple(sample_guide_loop(t, e, rng) for t in state.inner_terms)
+    else:
+        inner = tuple(None for _ in state.inner_terms)
+    return e, active, outer, inner
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracles
+# ---------------------------------------------------------------------------
+
+# A policy tree is either None (stop) or (element, success_subtree, failure_subtree).
+PolicyTree = Optional[Tuple[int, "PolicyTree", "PolicyTree"]]
+
+
+def optimal_policy_tree(inst: ProbingInstance) -> PolicyTree:
+    """Recover one optimal decision tree from the adaptive DP (stop on ties)."""
+    dp = _AdaptiveDP(inst)
+
+    def tree(q_mask: int, s_mask: int) -> PolicyTree:
+        target = dp.value(q_mask, s_mask)
+        if target <= dp.value_table[s_mask] + 1e-12:
+            return None
+        for e in _probe_candidates(inst, q_mask, s_mask):
+            if dp.probe_value(q_mask, s_mask, e) >= target - 1e-12:
+                ebit = 1 << e
+                return (e, tree(q_mask | ebit, s_mask | ebit), tree(q_mask | ebit, s_mask))
+        raise AssertionError("DP bookkeeping inconsistent")
+
+    return tree(0, 0)
+
+
+def policy_value_exact(inst: ProbingInstance, tree: PolicyTree) -> float:
+    """Exact expectation of an explicit decision tree by branch enumeration."""
+    value_table = inst.objective.value_table()
+
+    def walk(node: PolicyTree, q_mask: int, s_mask: int, depth: int) -> float:
+        if node is None:
+            return value_table[s_mask]
+        if depth > inst.n:
+            raise ValueError("tree deeper than the ground set")
+        e, on_success, on_failure = node
+        ebit = 1 << e
+        if q_mask & ebit:
+            raise ValueError(f"element {e} probed twice")
+        if not all(m.indep_mask(q_mask | ebit) for m in inst.outer):
+            raise ValueError(f"probing {e} violates an outer constraint")
+        if not all(m.indep_mask(s_mask | ebit) for m in inst.inner):
+            raise ValueError(f"probing {e} violates an inner constraint")
+        pe = inst.p[e]
+        total = 0.0
+        if pe > 0.0:
+            total += pe * walk(on_success, q_mask | ebit, s_mask | ebit, depth + 1)
+        if pe < 1.0:
+            total += (1.0 - pe) * walk(on_failure, q_mask | ebit, s_mask, depth + 1)
+        return total
+
+    return walk(tree, 0, 0, 0)
+
+
+def f_plus_bruteforce(f: Objective, y) -> float:
+    """Best expected value over distributions with marginals dominated by y.
+
+    Solved as an LP over weights alpha_A for every A subset of E:
+    max sum alpha_A f(A) with sum alpha <= 1, alpha >= 0, and for each j
+    sum over A containing j of alpha_A <= y_j.
+    """
+    from scipy.optimize import linprog
+
+    if f.n > FPLUS_CAP:
+        raise CapabilityError(f"f+ brute force limited to {FPLUS_CAP} elements")
+    if len(y) != f.n:
+        raise ValueError("dimension mismatch")
+    n = f.n
+    ncols = 1 << n
+    table = f.value_table()
+    a_ub = np.zeros((n + 1, ncols))
+    for mask in range(ncols):
+        for i in bits(mask):
+            a_ub[i, mask] = 1.0
+        a_ub[n, mask] = 1.0
+    b_ub = np.array([min(max(float(v), 0.0), 1.0) for v in y] + [1.0])
+    res = linprog(
+        c=-np.asarray(table),
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=[(0, None)] * ncols,
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"f+ LP failed: {res.message}")
+    return float(-res.fun)
+
+
+def enumerate_basic_solutions(lp: LinearProgram, tol: float = 1e-9):
+    """Brute-force vertex scan of a tiny LP, the independence oracle for solve_lp.
+
+    Enumerates basic solutions from all choices of n tight constraints (rows
+    or box facets) and yields the feasible ones.
+    """
+    n = lp.n
+    rows = [(lp.a_ub[i], lp.b_ub[i]) for i in range(len(lp.b_ub))]
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        rows.append((e, 1.0))
+        rows.append((-e, 0.0))
+    for combo in itertools.combinations(range(len(rows)), n):
+        a = np.array([rows[i][0] for i in combo])
+        b = np.array([rows[i][1] for i in combo])
+        if abs(np.linalg.det(a)) < 1e-12:
+            continue
+        x = np.linalg.solve(a, b)
+        if np.any(x < -tol) or np.any(x > 1 + tol):
+            continue
+        if lp.a_ub.size and np.any(lp.a_ub @ x > lp.b_ub + tol):
+            continue
+        yield np.clip(x, 0.0, 1.0)

@@ -12,10 +12,9 @@ import numpy as np
 
 from probe_kit.drift import (
     exact_mean,
-    inner_update_atoms,
-    outer_update_atoms,
     sample_atom_means,
     step_outcome_atoms,
+    update_atoms,
 )
 from probe_kit.engine import apply_step, draw_choices, init_state, run_policy
 from probe_kit.harness import mc_policy_value
@@ -171,7 +170,7 @@ def test_criterion_5_drift_inequalities():
 
         # one outer matroid update: E[loss_i] <= (1/Sigma)(1 - x_i) p_i x_i
         for j, m in enumerate(state.outer_m):
-            atoms = outer_update_atoms(m, state.outer_terms[j], x, p)
+            atoms = update_atoms(m, state.outer_terms[j], x, p)
             mean, stderr = sample_atom_means(
                 atoms, [a.deltas for a in atoms], DRIFT_SAMPLES, rng
             )
@@ -183,7 +182,7 @@ def test_criterion_5_drift_inequalities():
 
         # one inner matroid update: E[loss_i] <= (1/Sigma)(1 - p_i x_i) p_i x_i
         for j, m in enumerate(state.inner_m):
-            atoms = inner_update_atoms(m, state.inner_terms[j], x, p)
+            atoms = update_atoms(m, state.inner_terms[j], x, p, inner=True)
             mean, stderr = sample_atom_means(
                 atoms, [a.deltas for a in atoms], DRIFT_SAMPLES, rng
             )

@@ -57,6 +57,17 @@ class TestGenerate:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("kind", ["random", "bipartite", "posted-pricing"])
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    def test_size_below_one_is_usage_error(self, tmp_path, capsys, kind, size):
+        out = tmp_path / "x.json"
+        code, _, stderr = _run(
+            capsys, "generate", "--kind", kind, "--size", size, "--out", str(out)
+        )
+        assert code == 1
+        assert "Invalid value for '--size'" in stderr
+        assert not out.exists()
+
 
 class TestRun:
     @pytest.fixture()
@@ -178,6 +189,23 @@ class TestRun:
         code, _, stderr = _run(capsys, command, "--instance", str(instance_file))
         assert code == 1
         assert f"error: {message}" in stderr
+
+    @pytest.mark.parametrize("size", [0, -2])
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_empty_ground_set_names_field(self, tmp_path, capsys, command, size):
+        # the document an unchecked `generate --size 0` used to write
+        doc = {
+            "ground": {"size": size},
+            "p": [],
+            "objective": {"kind": "linear", "weights": []},
+            "inner": [{"kind": "partition", "n": 0, "parts": [], "capacities": []}],
+            "outer": [{"kind": "graphic", "n_vertices": 2, "edges": []}],
+        }
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        code, _, stderr = _run(capsys, command, "--instance", str(path))
+        assert code == 1
+        assert f"error: ground.size: expected a value >= 1, got {size}" in stderr
 
     def test_env_var_override(self, instance_file, capsys, monkeypatch):
         monkeypatch.setenv("PROBE_KIT_RUN_TRIALS", "123")

@@ -23,7 +23,7 @@ from probe_kit.matroids import free_matroid, uniform_matroid
 from probe_kit.objectives import LinearObjective, multilinear_exact
 from probe_kit.relaxation import solve_relaxation
 from probe_kit.seeding import spawn_rng
-from conftest import random_instance
+from conftest import draw_choices_loop, random_instance
 
 
 def _single_element_instance(p=1.0, w=1.0):
@@ -69,6 +69,29 @@ class TestSelection:
         inst = random_instance(2, n=3)
         state = init_state(inst, [0.0, 0.0, 0.0])
         assert select_element(state, random.Random(0)) is None
+
+
+    def test_table_draws_match_the_loop_reference(self):
+        """Same choices, and the RNG left at the same point, on every state."""
+        states = 0
+        for seed in range(24):
+            inst = random_instance(900 + seed, objective="coverage" if seed % 2 else "linear")
+            x0 = solve_relaxation(inst, cg_steps=20).x0
+            for trial in range(10):
+                rng = spawn_rng(seed, "tables", trial)
+                state = init_state(inst, x0)
+                while True:
+                    ref = random.Random()
+                    ref.setstate(rng.getstate())
+                    choices = draw_choices(state, rng)
+                    expected = draw_choices_loop(state, ref)
+                    assert (None if choices is None else tuple(choices)) == expected
+                    assert rng.random() == ref.random()
+                    states += 1
+                    if choices is None:
+                        break
+                    state = apply_step(state, choices)
+        assert states > 700
 
 
 class TestStep:

@@ -1,7 +1,11 @@
-"""Monte Carlo harness: transition reuse within a chunk keeps sums exact, and
-`jobs` is checked and never starts more workers than there are chunks."""
+"""Monte Carlo harness: one transition graph per experiment (per worker under
+`jobs`) keeps sums exact, runs `apply_step` once per distinct transition,
+restarts above STORE_CAP and is freed on return; `jobs` is checked and never
+starts more workers than there are chunks."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -52,38 +56,71 @@ def test_sums_match_uncached_loop_bit_for_bit(seed, objective, monkeypatch):
     assert mc_policy_value(inst, x0, TRIALS, seed) == expected
 
 
-def test_apply_step_runs_once_per_distinct_transition(monkeypatch):
+@pytest.fixture()
+def roots(monkeypatch):
+    """The initial states the harness builds, one per transition graph."""
+    built = []
+    init_state = probe_kit.harness.init_state
+
+    def recording_init(*args):
+        built.append(init_state(*args))
+        return built[-1]
+
+    monkeypatch.setattr(probe_kit.harness, "init_state", recording_init)
+    return built
+
+
+def test_apply_step_runs_once_per_distinct_transition(monkeypatch, roots):
     inst = random_instance(5, n=7, k_in=1, k_out=2)
     x0 = solve_relaxation(inst).x0
     steps, computed = [], []
     draw_choices = probe_kit.harness.draw_choices
     apply_step = probe_kit.harness.apply_step
 
-    def key(state, choices):
-        return (
-            state.q_mask,
-            state.s_mask,
-            tuple(state.x),
-            tuple(map(tuple, state.outer_terms)),
-            tuple(map(tuple, state.inner_terms)),
-            choices,
-        )
-
     def recording_draw(state, rng):
         choices = draw_choices(state, rng)
         if choices is not None:
-            steps.append(key(state, choices))
+            steps.append(state.key + (choices,))
         return choices
 
     def counting_apply(state, choices):
-        computed.append(key(state, choices))
+        computed.append(state.key + (choices,))
         return apply_step(state, choices)
 
     monkeypatch.setattr(probe_kit.harness, "draw_choices", recording_draw)
     monkeypatch.setattr(probe_kit.harness, "apply_step", counting_apply)
-    mc_policy_value(inst, x0, CHUNK, seed=1)  # one chunk, one cache
+    mc_policy_value(inst, x0, TRIALS, seed=1)  # three chunks, one graph
+    assert len(roots) == 1
     assert len(computed) == len(set(steps)) == len(set(computed))
     assert len(computed) < len(steps)
+
+
+def test_store_cap_restarts_the_graph(monkeypatch, roots):
+    inst = random_instance(3, objective="linear")
+    x0 = solve_relaxation(inst).x0
+    expected = _reference(inst, x0, TRIALS, 3, monkeypatch)
+    monkeypatch.setattr(probe_kit.harness, "STORE_CAP", 4)
+    assert mc_policy_value(inst, x0, TRIALS, 3) == expected
+    assert len(roots) == 3  # every chunk boundary found more than 4 states
+
+
+def test_graph_is_freed_on_return(monkeypatch):
+    inst = random_instance(8, objective="coverage")
+    x0 = solve_relaxation(inst, cg_steps=20).x0
+    stored = []
+    apply_step = probe_kit.harness.apply_step
+
+    def recording_apply(state, choices):
+        nxt = apply_step(state, choices)
+        stored.append(weakref.ref(nxt))
+        return nxt
+
+    monkeypatch.setattr(probe_kit.harness, "apply_step", recording_apply)
+    mc_policy_value(inst, x0, TRIALS, seed=4)
+    assert stored
+    assert all(ref() is None for ref in stored)  # freed by reference counting
+    gc.collect()
+    assert all(ref() is None for ref in stored)
 
 
 def test_jobs_do_not_change_the_report(tmp_path, capsys):
@@ -99,32 +136,57 @@ def test_jobs_do_not_change_the_report(tmp_path, capsys):
     assert reports[1] == reports[0]
 
 
-def test_pool_never_exceeds_the_chunk_count(monkeypatch):
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and each
+    worker's arguments, maps in process."""
+
     sizes = []
+    calls = []
 
-    class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def __enter__(self):
+        return self
 
-        def __enter__(self):
-            return self
+    def __exit__(self, *exc):
+        return False
 
-        def __exit__(self, *exc):
-            return False
+    def map(self, fn, iterable):
+        args = list(iterable)
+        self.calls.append(args)
+        return map(fn, args)
 
-        def map(self, fn, iterable):
-            return map(fn, iterable)
 
+@pytest.fixture()
+def in_process_pool(monkeypatch):
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    monkeypatch.setattr(InProcessPool, "calls", [])
+    monkeypatch.setattr(probe_kit.harness, "ProcessPoolExecutor", InProcessPool)
+    return InProcessPool
+
+
+def test_pool_never_exceeds_the_chunk_count(in_process_pool):
     inst = random_instance(6, objective="coverage")
     x0 = solve_relaxation(inst, cg_steps=20).x0
-    monkeypatch.setattr(probe_kit.harness, "ProcessPoolExecutor", InProcessPool)
     trials = 2 * CHUNK
     pooled = mc_policy_value(inst, x0, trials, seed=2, jobs=64)
-    assert sizes == [2]
+    assert in_process_pool.sizes == [2]
     assert pooled == mc_policy_value(inst, x0, trials, seed=2, jobs=1)
-    assert sizes == [2]  # jobs=1 runs without a pool
+    assert in_process_pool.sizes == [2]  # jobs=1 runs without a pool
+
+
+def test_workers_walk_their_own_graphs_with_unchanged_sums(in_process_pool, roots):
+    inst = random_instance(4, objective="coverage")
+    x0 = solve_relaxation(inst, cg_steps=20).x0
+    pooled = mc_policy_value(inst, x0, TRIALS, seed=6, jobs=3)
+    assert in_process_pool.sizes == [3]
+    shares = [args[-1] for args in in_process_pool.calls[0]]
+    assert shares == [[(0, CHUNK)], [(CHUNK, CHUNK)], [(2 * CHUNK, TRIALS - 2 * CHUNK)]]
+    assert len(roots) == 3  # one graph per worker
+    roots.clear()
+    assert pooled == mc_policy_value(inst, x0, TRIALS, seed=6, jobs=1)
+    assert len(roots) == 1
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

@@ -13,12 +13,11 @@ from probe_kit.objectives import (
     LinearObjective,
     Objective,
     WeightedRankObjective,
-    f_plus_bruteforce,
     multilinear_exact,
     multilinear_sample,
     objective_structure_violations,
 )
-from conftest import partial_derivative
+from conftest import f_plus_bruteforce, partial_derivative
 
 
 class TestSetValues:

@@ -9,12 +9,8 @@ from probe_kit.errors import CapabilityError
 from probe_kit.instances import ProbingInstance
 from probe_kit.matroids import free_matroid, uniform_matroid
 from probe_kit.objectives import LinearObjective
-from probe_kit.oracle import (
-    optimal_adaptive_value,
-    optimal_policy_tree,
-    policy_value_exact,
-)
-from conftest import random_instance
+from probe_kit.oracle import optimal_adaptive_value
+from conftest import optimal_policy_tree, policy_value_exact, random_instance
 
 
 def _linear_instance(p, w, inner, outer):

@@ -20,7 +20,6 @@ from probe_kit.relaxation import (
     _scaled_gradient,
     build_probing_lp,
     continuous_greedy,
-    enumerate_basic_solutions,
     lp_optimum,
     max_f_plus_over_polytope,
     relaxation_feasible,
@@ -28,7 +27,7 @@ from probe_kit.relaxation import (
     solve_relaxation,
 )
 from probe_kit.seeding import spawn_rng
-from conftest import partial_derivative, random_instance
+from conftest import enumerate_basic_solutions, partial_derivative, random_instance
 
 
 class TestSolveLp:
