@@ -1,9 +1,9 @@
 """Stochastic probing on matroid intersections: relaxations, iterative
 randomized rounding, and exact desk-scale oracles."""
 
-from .engine import PolicyState, Trace, init_state, potential, run_policy, simulate_value
+from .engine import PolicyState, Trace, init_state, potential
 from .errors import CapabilityError, InvariantViolation, VerificationError
-from .harness import ExperimentConfig, ExperimentReport, run_experiment
+from .harness import ExperimentConfig, ExperimentReport, run_experiment, run_policy
 from .instances import (
     ProbingInstance,
     gen_bipartite_matching,
@@ -11,9 +11,7 @@ from .instances import (
     gen_random,
 )
 from .matroids import (
-    ExchangeMap,
     Matroid,
-    exchange_map,
     explicit_matroid,
     free_matroid,
     graphic_matroid,
@@ -26,10 +24,9 @@ from .objectives import (
     Objective,
     WeightedRankObjective,
     multilinear_exact,
-    multilinear_sample,
 )
 from .oracle import optimal_adaptive_value
-from .polytope import ConvexDecomposition, decompose, in_polytope, support_update
+from .polytope import decompose_masks, in_polytope, support_update_masks
 from .relaxation import (
     LinearProgram,
     RelaxedSolution,

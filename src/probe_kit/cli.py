@@ -26,7 +26,7 @@ from .instances import (
     verify_instance,
 )
 from .matroids import uniform_matroid
-from .polytope import decompose, implied_vector
+from .polytope import decompose_masks, implied_vector_masks
 from .relaxation import relaxation_feasible, solve_relaxation
 from .seeding import spawn_rng
 
@@ -45,12 +45,12 @@ def cli():
 @cli.command("generate")
 @click.option("--kind", type=click.Choice(["random", "bipartite", "posted-pricing"]), default="random", show_default=True)
 @click.option("--size", type=click.IntRange(min=1), default=6, show_default=True, help="ground-set size (random) / side size (bipartite) / agents (posted-pricing)")
-@click.option("--k-in", type=int, default=1, show_default=True)
-@click.option("--k-out", type=int, default=1, show_default=True)
+@click.option("--k-in", type=click.IntRange(min=0), default=1, show_default=True)
+@click.option("--k-out", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--objective", type=click.Choice(["linear", "coverage", "weighted_matroid_rank"]), default="linear", show_default=True)
-@click.option("--edge-prob", type=float, default=0.6, show_default=True)
-@click.option("--patience", type=int, default=2, show_default=True)
-@click.option("--price-levels", type=int, default=2, show_default=True)
+@click.option("--edge-prob", type=click.FloatRange(0, 1), default=0.6, show_default=True)
+@click.option("--patience", type=click.IntRange(min=1), default=2, show_default=True)
+@click.option("--price-levels", type=click.IntRange(min=1), default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(writable=True), required=True)
 def cmd_generate(kind, size, k_in, k_out, objective, edge_prob, patience, price_levels, seed, out):
@@ -81,15 +81,14 @@ def cmd_generate(kind, size, k_in, k_out, objective, edge_prob, patience, price_
 @click.option("--instance", type=click.Path(exists=True), required=True)
 @click.option("--trials", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--mode", type=click.Choice(["auto", "linear", "submodular"]), default="auto", show_default=True)
 @click.option("--cg-steps", type=int, default=200, show_default=True)
 @click.option("--out", type=click.Path(writable=True), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True)
-def cmd_run(instance, trials, seed, mode, cg_steps, out, fmt, jobs):
+def cmd_run(instance, trials, seed, cg_steps, out, fmt, jobs):
     """Solve the relaxation and run Monte Carlo policy trials."""
     inst = ProbingInstance.load(instance)
-    config = ExperimentConfig(trials=trials, seed=seed, mode=mode, cg_steps=cg_steps, jobs=jobs)
+    config = ExperimentConfig(trials=trials, seed=seed, cg_steps=cg_steps, jobs=jobs)
     report = run_experiment(inst, config)
     if fmt == "json":
         text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -126,8 +125,7 @@ def cmd_verify(instance, cg_steps):
                 ("inner", inst.inner, [inst.p[i] * relaxed.x0[i] for i in range(inst.n)]),
             ):
                 for j, m in enumerate(matroids):
-                    d = decompose(m, vec)
-                    rt = implied_vector(d)
+                    rt = implied_vector_masks(decompose_masks(m, vec), inst.n)
                     if max(abs(rt[i] - vec[i]) for i in range(inst.n)) > 1e-9:
                         problems.append(f"{label} matroid {j}: decomposition round-trip failed")
     if problems:

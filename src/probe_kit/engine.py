@@ -1,13 +1,13 @@
-"""The iterative randomized rounding policy: probe selection, probe
-resolution, per-matroid guided support updates, contraction, and master-vector
-reconciliation, with bit-for-bit replayable traces.
+"""The step core of the iterative randomized rounding policy: probe
+selection, probe resolution, per-matroid guided support updates, contraction,
+and master-vector reconciliation, plus the state, step-record and trace types.
 
 The sampled choices of one step are isolated in `StepChoices`, so the same
-deterministic core (`apply_step`) serves both the Monte Carlo runner and the
-exact single-step outcome enumeration used by the drift harness.  Every draw
-reads the cumulative tables a state caches on first use (`element_table`,
-`guide_tables`), so a state the Monte Carlo loop meets again draws without
-rebuilding them.
+deterministic core (`apply_step`) serves both the policy walk in `harness`
+and the exact single-step outcome enumeration used by the drift harness.
+Every draw reads the cumulative tables a state caches on first use
+(`element_table`, `guide_tables`), so a state the walk meets again draws
+without rebuilding them.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class PolicyState:
     outer_terms: List[MaskTerms]
     inner_terms: List[MaskTerms]
     sigma: float
-    # successor per drawn StepChoices, filled by the Monte Carlo loop
+    # successor per drawn StepChoices, filled by `harness.walk`
     children: Dict[StepChoices, "PolicyState"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -358,63 +358,3 @@ def _assert_state_feasible(state: PolicyState):
             implied = implied_vector_masks(t, inst.n)
             if any(abs(implied[i] - vec[i]) > 1e-7 for i in range(inst.n)):
                 raise InvariantViolation("decomposition does not match master vector")
-
-
-def step(state: PolicyState, rng: random.Random):
-    """One sampled policy step; returns (new_state, record) or None at the end."""
-    choices = draw_choices(state, rng)
-    if choices is None:
-        return None
-    f_before = state.objective_value()
-    z_before = state.z
-    sel_prob = state.x[choices.element] / state.sigma
-    new_state = apply_step(state, choices)
-    deltas = [
-        state.inst.p[i] * (state.x[i] - new_state.x[i]) for i in range(state.inst.n)
-    ]
-    record = StepRecord(
-        element=choices.element,
-        selection_probability=sel_prob,
-        active=choices.active,
-        outer_guides=choices.outer_guides,
-        inner_guides=choices.inner_guides,
-        deltas=deltas,
-        z_before=z_before,
-        z_after=new_state.z,
-        f_before=f_before,
-        f_after=new_state.objective_value(),
-    )
-    return new_state, record
-
-
-def run_policy(
-    inst: ProbingInstance, x0: Sequence[float], rng: random.Random
-) -> Trace:
-    """Run the policy to termination (Sigma below tolerance) recording a trace."""
-    state = init_state(inst, x0)
-    trace = Trace()
-    while True:
-        out = step(state, rng)
-        if out is None:
-            break
-        state, record = out
-        trace.steps.append(record)
-        if len(trace.steps) > inst.n:
-            raise InvariantViolation("more steps than ground elements")
-    trace.final_successes = state.successes
-    trace.final_probed = state.probed
-    trace.final_value = state.objective_value()
-    return trace
-
-
-def simulate_value(
-    inst: ProbingInstance, x0: Sequence[float], rng: random.Random
-) -> float:
-    """f(S) of one policy run; same sampling path as run_policy, no trace."""
-    state = init_state(inst, x0)
-    for _ in range(inst.n + 1):
-        choices = draw_choices(state, rng)
-        if choices is None:
-            return state.objective_value()
-        state = apply_step(state, choices)
-    raise InvariantViolation("more steps than ground elements")

@@ -11,31 +11,44 @@ mask, x, outer and inner decompositions), and `apply_step` is deterministic
 given a state and its sampled `StepChoices`. The decompositions belong to the
 state because each step trims the previous ones: equal (q, s, x) reached
 along different paths may carry different decompositions and so draw
-different guides. An experiment therefore walks one transition graph: it
-builds the initial state once, interns every state `apply_step` returns by its
-value (`PolicyState.key`), and records each successor in the `children` of
-the state it came from, keyed by the drawn choices. A repeated step is then a
-draw from the state's cached tables and a dict lookup, and `apply_step`, with
-its feasibility assertion, runs once per distinct transition. The choices are
-still drawn on every step, so each trial consumes its RNG stream exactly as
-without reuse and the sums stay bit-identical.
+different guides. `walk` is the one loop over that chain. It runs one trial
+from a state to termination over a transition graph: every state
+`apply_step` returns is interned in a store by its value (`PolicyState.key`)
+and recorded in the `children` of the state it came from, keyed by the drawn
+choices. A repeated step is then a draw from the state's cached tables and a
+dict lookup, and `apply_step`, with its feasibility assertion, runs once per
+distinct transition. The choices are still drawn on every step, so each
+trial consumes its RNG stream exactly as without reuse and the sums stay
+bit-identical. A walk of more than n steps raises `InvariantViolation`, since
+every step probes a new element. An optional sink sees each step as (state,
+choices, next state); `run_policy` uses one to record a `Trace`.
 
-Every step probes a new element, so a chunk adds at most CHUNK * n states.
-At a chunk boundary a graph holding more than STORE_CAP states is dropped and
-the walk starts again from a fresh initial state. Under `jobs` > 1 each worker
-walks its own graph over a contiguous share of the chunks. The graph is freed
-when the experiment returns.
+An experiment walks one graph: it builds the initial state once and adds at
+most CHUNK * n states per chunk. At a chunk boundary a graph holding more
+than STORE_CAP states is dropped and the walk starts again from a fresh
+initial state. Under `jobs` > 1 each worker walks its own graph over a
+contiguous share of the chunks. The graph is freed when the experiment
+returns.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from .engine import apply_step, draw_choices, init_state
-from .errors import CapabilityError
+from .engine import (
+    PolicyState,
+    StepChoices,
+    StepRecord,
+    Trace,
+    apply_step,
+    draw_choices,
+    init_state,
+)
+from .errors import CapabilityError, InvariantViolation
 from .instances import ProbingInstance
 from .oracle import DP_CAP, optimal_adaptive_value
 from .relaxation import RelaxedSolution, solve_relaxation
@@ -49,7 +62,6 @@ STORE_CAP = 16_384  # states an experiment keeps, checked at chunk boundaries
 class ExperimentConfig:
     trials: int = 10000
     seed: int = 0
-    mode: str = "auto"  # auto | linear | submodular
     cg_steps: int = 200
     jobs: int = 1
     oracle_cap: int = DP_CAP
@@ -59,8 +71,6 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.mode not in ("auto", "linear", "submodular"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -112,19 +122,62 @@ class ExperimentReport:
         return ["" if d[k] is None else repr(d[k]) for k in self.CSV_FIELDS]
 
 
-def theoretical_ratio(inst: ProbingInstance, mode: str) -> float:
+def theoretical_ratio(inst: ProbingInstance) -> float:
+    """The paper's guarantee: 1/(k_in+k_out) for a linear objective, and
+    (1-1/e)/(k_in+k_out+1) for a monotone submodular one."""
     k = inst.k_in + inst.k_out
-    if mode == "linear":
+    if inst.objective.is_linear:
         return 1.0 / k
     return (1.0 - math.exp(-1.0)) / (k + 1)
 
 
-def resolve_mode(inst: ProbingInstance, mode: str) -> str:
-    if mode == "auto":
-        return "linear" if inst.objective.is_linear else "submodular"
-    if mode == "linear" and not inst.objective.is_linear:
-        raise ValueError("linear mode requires a linear objective")
-    return mode
+def walk(
+    state: PolicyState,
+    rng: random.Random,
+    store: dict,
+    sink: Optional[Callable[[PolicyState, StepChoices, PolicyState], None]] = None,
+) -> Tuple[PolicyState, int]:
+    """Run one trial from `state` to termination over the transition graph
+    that `store` interns; return the final state and the number of steps."""
+    limit = state.inst.n
+    steps = 0
+    while (choices := draw_choices(state, rng)) is not None:
+        nxt = state.children.get(choices)
+        if nxt is None:
+            nxt = apply_step(state, choices)
+            nxt = state.children[choices] = store.setdefault(nxt.key, nxt)
+        if sink is not None:
+            sink(state, choices, nxt)
+        state = nxt
+        steps += 1
+        if steps > limit:
+            raise InvariantViolation("more steps than ground elements")
+    return state, steps
+
+
+def _step_record(state: PolicyState, choices: StepChoices, nxt: PolicyState) -> StepRecord:
+    p = state.inst.p
+    return StepRecord(
+        element=choices.element,
+        selection_probability=state.x[choices.element] / state.sigma,
+        active=choices.active,
+        outer_guides=choices.outer_guides,
+        inner_guides=choices.inner_guides,
+        deltas=[p[i] * (state.x[i] - nxt.x[i]) for i in range(state.inst.n)],
+        z_before=state.z,
+        z_after=nxt.z,
+        f_before=state.objective_value(),
+        f_after=nxt.objective_value(),
+    )
+
+
+def run_policy(inst: ProbingInstance, x0, rng: random.Random) -> Trace:
+    """Run the policy once to termination, recording a trace of every step."""
+    steps = []
+    state, _ = walk(
+        init_state(inst, x0), rng, {}, lambda *step: steps.append(_step_record(*step))
+    )
+    return Trace(steps, state.successes, state.probed, state.objective_value())
 
 
 def _run_chunks(inst: ProbingInstance, x0, seed: int, chunks) -> List[tuple]:
@@ -141,18 +194,11 @@ def _run_chunks(inst: ProbingInstance, x0, seed: int, chunks) -> List[tuple]:
         total_sq = 0.0
         steps = 0
         for t in range(start, start + count):
-            rng = spawn_rng(seed, "trial", t)
-            state = root
-            while (choices := draw_choices(state, rng)) is not None:
-                nxt = state.children.get(choices)
-                if nxt is None:
-                    nxt = apply_step(state, choices)
-                    nxt = state.children[choices] = store.setdefault(nxt.key, nxt)
-                state = nxt
-                steps += 1
+            state, n_steps = walk(root, spawn_rng(seed, "trial", t), store)
             v = state.objective_value()
             total += v
             total_sq += v * v
+            steps += n_steps
         results.append((total, total_sq, steps))
     return results
 
@@ -199,7 +245,6 @@ def run_experiment(
     config: ExperimentConfig,
     relaxed: Optional[RelaxedSolution] = None,
 ) -> ExperimentReport:
-    mode = resolve_mode(inst, config.mode)
     if relaxed is None:
         relaxed = solve_relaxation(inst, cg_steps=config.cg_steps)
     mean, stderr, steps_mean = mc_policy_value(
@@ -215,7 +260,7 @@ def run_experiment(
         if oracle_value:
             ratio = mean / oracle_value
     return ExperimentReport(
-        mode=mode,
+        mode="linear" if inst.objective.is_linear else "submodular",
         relaxation_value=relaxed.objective_value,
         mc_mean=mean,
         mc_stderr=stderr,
@@ -224,11 +269,10 @@ def run_experiment(
         steps_mean=steps_mean,
         oracle_value=oracle_value,
         ratio=ratio,
-        target_ratio=theoretical_ratio(inst, mode),
+        target_ratio=theoretical_ratio(inst),
         config={
             "trials": config.trials,
             "seed": config.seed,
-            "mode": config.mode,
             "cg_steps": config.cg_steps,
         },
         instance_metadata=inst.metadata,

@@ -10,7 +10,6 @@ oracles O(1) in the Monte Carlo hot loop.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -430,25 +429,6 @@ def free_matroid(n: int) -> Matroid:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExchangeMap:
-    """Assignment phi: A -> B + {bot} certifying single-element swaps.
-
-    Properties (checked by `exchange_map_violations`):
-      1. phi(e) = e for e in A & B;
-      2. no element of B is the image of two elements of A;
-      3. for e in A - B: phi(e) = bot implies B + e independent, otherwise
-         B - phi(e) + e independent.
-    """
-
-    source: frozenset
-    target: frozenset
-    mapping: dict = field(hash=False)
-
-    def __getitem__(self, e: int):
-        return self.mapping[e]
-
-
 def _exchange_mapping_masks(m: Matroid, amask: int, bmask: int) -> dict:
     """Core construction: dict element -> element-or-None over bitmask inputs.
 
@@ -494,43 +474,6 @@ def _exchange_mapping_masks(m: Matroid, amask: int, bmask: int) -> dict:
     for f, e in owner.items():
         mapping[e] = f
     return mapping
-
-
-def exchange_map(m: Matroid, a: Iterable[int], b: Iterable[int]) -> ExchangeMap:
-    amask, bmask = mask_of(a), mask_of(b)
-    if not m.indep_mask(amask):
-        raise ValueError("source set is not independent")
-    if not m.indep_mask(bmask):
-        raise ValueError("target set is not independent")
-    mapping = _exchange_mapping_masks(m, amask, bmask)
-    return ExchangeMap(set_of(amask), set_of(bmask), mapping)
-
-
-def exchange_map_violations(m: Matroid, em: ExchangeMap) -> list:
-    """Direct check of the three exchange-map properties via the oracle."""
-    a, b = em.source, em.target
-    problems = []
-    for e in a & b:
-        if em.mapping.get(e) != e:
-            problems.append(f"common element {e} not fixed")
-    images = [f for f in em.mapping.values() if f is not None]
-    dup = {f for f in images if images.count(f) > 1}
-    if dup:
-        problems.append(f"non-injective images {sorted(dup)}")
-    bmask = mask_of(b)
-    for e in a - b:
-        f = em.mapping.get(e, "missing")
-        if f == "missing":
-            problems.append(f"element {e} unassigned")
-        elif f is None:
-            if not m.indep_mask(bmask | (1 << e)):
-                problems.append(f"phi({e})=bot but B+{e} dependent")
-        else:
-            if f not in b:
-                problems.append(f"phi({e})={f} outside B")
-            elif not m.indep_mask((bmask ^ (1 << f)) | (1 << e)):
-                problems.append(f"B-{f}+{e} dependent")
-    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,11 @@
 """Objective evaluation: linear and monotone submodular set functions and the
-multilinear extension F (exact and sampled).
+exact multilinear extension F.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Sequence
-
 
 from .errors import CapabilityError
 from .matroids import Matroid, bits, mask_of
@@ -199,31 +196,6 @@ def multilinear_exact(f: Objective, y: Sequence[float]) -> MultilinearValue:
 def multilinear_value_from_table(table: Sequence[float], y: Sequence[float]) -> float:
     """F(y) using a precomputed value table; hot path for the engine."""
     return _enumerate_multilinear(table.__getitem__, y)
-
-
-def multilinear_sample(
-    f: Objective, y: Sequence[float], n_samples: int, rng: random.Random
-) -> MultilinearValue:
-    """Monte Carlo estimate of F(y) with independent inclusion sampling."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if len(y) != f.n:
-        raise ValueError("dimension mismatch")
-    total = 0.0
-    total_sq = 0.0
-    for _ in range(n_samples):
-        mask = 0
-        for i, v in enumerate(y):
-            if v >= 1.0 or (v > 0.0 and rng.random() < v):
-                mask |= 1 << i
-        val = f.value_mask(mask)
-        total += val
-        total_sq += val * val
-    mean = total / n_samples
-    if n_samples == 1:
-        return MultilinearValue(mean, 0.0)
-    var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
-    return MultilinearValue(mean, math.sqrt(var / n_samples))
 
 
 # ---------------------------------------------------------------------------

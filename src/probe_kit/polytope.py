@@ -11,13 +11,12 @@ scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .matroids import _TABLE_CAP, Matroid, bits, mask_of, set_of
+from .matroids import _TABLE_CAP, Matroid, bits, mask_of
 
 EPS = 1e-9
 MAX_PEEL_FACTOR = 6  # peel iterations allowed per support element before LP fallback
@@ -66,30 +65,6 @@ def _max_violation(m: Matroid, x: Sequence[float], support: int) -> float:
             worst = v
         sub = (sub - 1) & support
     return worst
-
-
-@dataclass
-class ConvexDecomposition:
-    """x represented as sum beta_a * indicator(B_a) with B_a independent."""
-
-    weights: List[float]
-    sets: List[frozenset]
-    matroid: Matroid
-
-    @property
-    def terms(self):
-        return list(zip(self.weights, self.sets))
-
-    def implied_vector(self) -> np.ndarray:
-        return np.asarray(
-            implied_vector_masks(
-                [(w, mask_of(s)) for w, s in zip(self.weights, self.sets)],
-                self.matroid.ground_size,
-            )
-        )
-
-    def __len__(self):
-        return len(self.weights)
 
 
 def implied_vector_masks(terms: MaskTerms, n: int) -> List[float]:
@@ -268,17 +243,6 @@ def _decompose_lp(m: Matroid, x: Sequence[float]) -> MaskTerms:
     return terms
 
 
-def decompose(m: Matroid, x: Sequence[float]) -> ConvexDecomposition:
-    if not in_polytope(m, x, tol=1e-7):
-        raise ValueError("point outside the matroid polytope")
-    terms = decompose_masks(m, x)
-    return ConvexDecomposition(
-        weights=[w for w, _ in terms],
-        sets=[set_of(mask) for _, mask in terms],
-        matroid=m,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Guided support update
 # ---------------------------------------------------------------------------
@@ -362,31 +326,3 @@ def trim_masks(
     if len(terms) > n + 1:
         terms = _caratheodory_reduce(terms, n)
     return terms
-
-
-def support_update(
-    d: ConvexDecomposition, probed: int, guide: int, contracted: Matroid
-) -> ConvexDecomposition:
-    """Public wrapper over `support_update_masks` with full validation."""
-    m = d.matroid
-    if probed not in d.sets[guide]:
-        raise ValueError("guide term does not contain the probed element")
-    if not m.is_independent({probed}):
-        raise ValueError("probed element is a loop; cannot contract")
-    if contracted.contracted != m.contracted | {probed}:
-        raise ValueError("contracted matroid does not match d.matroid / probed")
-    terms = [(w, mask_of(s)) for w, s in zip(d.weights, d.sets)]
-    new_terms = support_update_masks(m, terms, probed, guide)
-    new_terms = _merge_terms(new_terms)
-    for _, mask in new_terms:
-        if not contracted.indep_mask(mask):
-            raise InvariantViolation("support update produced a dependent term")
-    return ConvexDecomposition(
-        weights=[w for w, _ in new_terms],
-        sets=[set_of(mask) for _, mask in new_terms],
-        matroid=contracted,
-    )
-
-
-def implied_vector(d: ConvexDecomposition) -> np.ndarray:
-    return d.implied_vector()

@@ -1,8 +1,6 @@
 """Relaxations of the probing problem over intersected matroid polytopes:
 an LP over each matroid's dependent-flat rank rows for linear objectives,
-discretized continuous greedy over the same rows for submodular ones, and
-the joint LP that maximizes the correlation-gap relaxation exactly (used as
-an oracle at desk scale).
+and discretized continuous greedy over the same rows for submodular ones.
 """
 
 from __future__ import annotations
@@ -124,12 +122,6 @@ def solve_relaxation_lp(inst: ProbingInstance) -> RelaxedSolution:
     )
 
 
-def lp_optimum(inst: ProbingInstance) -> float:
-    """Exact optimum of the linear relaxation (unrepaired; oracle comparisons)."""
-    _, value = solve_lp(build_probing_lp(inst))
-    return value
-
-
 def _product_weights(q: np.ndarray) -> np.ndarray:
     """Pr[R] for every mask R when each i joins R independently with probability q_i.
 
@@ -240,53 +232,3 @@ def solve_relaxation(inst: ProbingInstance, cg_steps: int = 200) -> RelaxedSolut
     if inst.objective.is_linear:
         return solve_relaxation_lp(inst)
     return continuous_greedy(inst, steps=cg_steps)
-
-
-def max_f_plus_over_polytope(inst: ProbingInstance) -> float:
-    """Exact max of f+(p * x) over the relaxation polytope, as one joint LP.
-
-    Variables are the distribution weights alpha_A (2^n columns) plus x; the
-    marginal constraints tie sum_{A ni j} alpha_A <= p_j x_j.  Brute-force
-    oracle for dominance and continuous-greedy bound checks.
-    """
-    if inst.n > 10:
-        raise CapabilityError("f+ polytope maximization limited to 10 elements")
-    n = inst.n
-    ncols = 1 << n
-    table = inst.objective.value_table()
-    rows_x, rhs_x = _polytope_rows(inst)
-    nvar = ncols + n  # alpha block then x block
-    rows = []
-    rhs = []
-    # sum alpha <= 1
-    row = np.zeros(nvar)
-    row[:ncols] = 1.0
-    rows.append(row)
-    rhs.append(1.0)
-    # marginals: sum_{A ni j} alpha_A - p_j x_j <= 0
-    for j in range(n):
-        row = np.zeros(nvar)
-        for mask in range(ncols):
-            if mask >> j & 1:
-                row[mask] = 1.0
-        row[ncols + j] = -inst.p[j]
-        rows.append(row)
-        rhs.append(0.0)
-    # polytope rows on x
-    for r, b in zip(rows_x, rhs_x):
-        row = np.zeros(nvar)
-        row[ncols:] = r
-        rows.append(row)
-        rhs.append(b)
-    c = np.zeros(nvar)
-    c[:ncols] = -np.asarray(table)
-    res = linprog(
-        c=c,
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
-        bounds=[(0.0, None)] * ncols + [(0.0, 1.0)] * n,
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"f+ polytope LP failed: {res.message}")
-    return float(-res.fun)

@@ -1,17 +1,21 @@
 """Shared helpers and test-only oracles for the test suite."""
 
 import itertools
+import math
 import random
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import linprog
 
-from probe_kit.errors import CapabilityError
+import probe_kit.engine
+from probe_kit.errors import CapabilityError, InvariantViolation
 from probe_kit.instances import ProbingInstance, gen_random
-from probe_kit.matroids import bits
-from probe_kit.objectives import Objective, multilinear_exact
+from probe_kit.matroids import Matroid, _exchange_mapping_masks, bits, mask_of, set_of
+from probe_kit.objectives import MultilinearValue, Objective, multilinear_exact
 from probe_kit.oracle import _AdaptiveDP, _probe_candidates
-from probe_kit.relaxation import LinearProgram
+from probe_kit.relaxation import LinearProgram, _polytope_rows, build_probing_lp, solve_lp
 from probe_kit.seeding import spawn_rng
 
 FPLUS_CAP = 10  # 2^n LP columns limit
@@ -95,6 +99,19 @@ def draw_choices_loop(state, rng: random.Random):
     return e, active, outer, inner
 
 
+def simulate_value(inst: ProbingInstance, x0, rng: random.Random) -> float:
+    """f(S) of one policy run with no transition graph: every step calls
+    `apply_step` afresh, looked up on `probe_kit.engine` so a test can count it."""
+    engine = probe_kit.engine
+    state = engine.init_state(inst, x0)
+    for _ in range(inst.n + 1):
+        choices = engine.draw_choices(state, rng)
+        if choices is None:
+            return state.objective_value()
+        state = engine.apply_step(state, choices)
+    raise InvariantViolation("more steps than ground elements")
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracles
 # ---------------------------------------------------------------------------
@@ -155,8 +172,6 @@ def f_plus_bruteforce(f: Objective, y) -> float:
     max sum alpha_A f(A) with sum alpha <= 1, alpha >= 0, and for each j
     sum over A containing j of alpha_A <= y_j.
     """
-    from scipy.optimize import linprog
-
     if f.n > FPLUS_CAP:
         raise CapabilityError(f"f+ brute force limited to {FPLUS_CAP} elements")
     if len(y) != f.n:
@@ -206,3 +221,145 @@ def enumerate_basic_solutions(lp: LinearProgram, tol: float = 1e-9):
         if lp.a_ub.size and np.any(lp.a_ub @ x > lp.b_ub + tol):
             continue
         yield np.clip(x, 0.0, 1.0)
+
+
+def lp_optimum(inst: ProbingInstance) -> float:
+    """Exact optimum of the linear relaxation (unrepaired; oracle comparisons)."""
+    _, value = solve_lp(build_probing_lp(inst))
+    return value
+
+
+def max_f_plus_over_polytope(inst: ProbingInstance) -> float:
+    """Exact max of f+(p * x) over the relaxation polytope, as one joint LP.
+
+    Variables are the distribution weights alpha_A (2^n columns) plus x; the
+    marginal constraints tie sum_{A ni j} alpha_A <= p_j x_j.  Brute-force
+    oracle for dominance and continuous-greedy bound checks.
+    """
+    if inst.n > 10:
+        raise CapabilityError("f+ polytope maximization limited to 10 elements")
+    n = inst.n
+    ncols = 1 << n
+    table = inst.objective.value_table()
+    rows_x, rhs_x = _polytope_rows(inst)
+    nvar = ncols + n  # alpha block then x block
+    rows = []
+    rhs = []
+    # sum alpha <= 1
+    row = np.zeros(nvar)
+    row[:ncols] = 1.0
+    rows.append(row)
+    rhs.append(1.0)
+    # marginals: sum_{A ni j} alpha_A - p_j x_j <= 0
+    for j in range(n):
+        row = np.zeros(nvar)
+        for mask in range(ncols):
+            if mask >> j & 1:
+                row[mask] = 1.0
+        row[ncols + j] = -inst.p[j]
+        rows.append(row)
+        rhs.append(0.0)
+    # polytope rows on x
+    for r, b in zip(rows_x, rhs_x):
+        row = np.zeros(nvar)
+        row[ncols:] = r
+        rows.append(row)
+        rhs.append(b)
+    c = np.zeros(nvar)
+    c[:ncols] = -np.asarray(table)
+    res = linprog(
+        c=c,
+        A_ub=np.array(rows),
+        b_ub=np.array(rhs),
+        bounds=[(0.0, None)] * ncols + [(0.0, 1.0)] * n,
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"f+ polytope LP failed: {res.message}")
+    return float(-res.fun)
+
+
+def multilinear_sample(
+    f: Objective, y: Sequence[float], n_samples: int, rng: random.Random
+) -> MultilinearValue:
+    """Monte Carlo estimate of F(y) with independent inclusion sampling."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if len(y) != f.n:
+        raise ValueError("dimension mismatch")
+    total = 0.0
+    total_sq = 0.0
+    for _ in range(n_samples):
+        mask = 0
+        for i, v in enumerate(y):
+            if v >= 1.0 or (v > 0.0 and rng.random() < v):
+                mask |= 1 << i
+        val = f.value_mask(mask)
+        total += val
+        total_sq += val * val
+    mean = total / n_samples
+    if n_samples == 1:
+        return MultilinearValue(mean, 0.0)
+    var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
+    return MultilinearValue(mean, math.sqrt(var / n_samples))
+
+
+# ---------------------------------------------------------------------------
+# Set-based exchange maps over the policy's mask construction
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExchangeMap:
+    """Assignment phi: A -> B + {bot} certifying single-element swaps.
+
+    Properties (checked by `exchange_map_violations`):
+      1. phi(e) = e for e in A & B;
+      2. no element of B is the image of two elements of A;
+      3. for e in A - B: phi(e) = bot implies B + e independent, otherwise
+         B - phi(e) + e independent.
+    """
+
+    source: frozenset
+    target: frozenset
+    mapping: dict = field(hash=False)
+
+    def __getitem__(self, e: int):
+        return self.mapping[e]
+
+
+def exchange_map(m: Matroid, a: Iterable[int], b: Iterable[int]) -> ExchangeMap:
+    amask, bmask = mask_of(a), mask_of(b)
+    if not m.indep_mask(amask):
+        raise ValueError("source set is not independent")
+    if not m.indep_mask(bmask):
+        raise ValueError("target set is not independent")
+    mapping = _exchange_mapping_masks(m, amask, bmask)
+    return ExchangeMap(set_of(amask), set_of(bmask), mapping)
+
+
+def exchange_map_violations(m: Matroid, em: ExchangeMap) -> list:
+    """Direct check of the three exchange-map properties via the oracle."""
+    a, b = em.source, em.target
+    problems = []
+    for e in a & b:
+        if em.mapping.get(e) != e:
+            problems.append(f"common element {e} not fixed")
+    images = [f for f in em.mapping.values() if f is not None]
+    dup = {f for f in images if images.count(f) > 1}
+    if dup:
+        problems.append(f"non-injective images {sorted(dup)}")
+    bmask = mask_of(b)
+    for e in a - b:
+        f = em.mapping.get(e, "missing")
+        if f == "missing":
+            problems.append(f"element {e} unassigned")
+        elif f is None:
+            if not m.indep_mask(bmask | (1 << e)):
+                problems.append(f"phi({e})=bot but B+{e} dependent")
+        else:
+            if f not in b:
+                problems.append(f"phi({e})={f} outside B")
+            elif not m.indep_mask((bmask ^ (1 << f)) | (1 << e)):
+                problems.append(f"B-{f}+{e} dependent")
+    return problems

@@ -16,24 +16,26 @@ from probe_kit.drift import (
     step_outcome_atoms,
     update_atoms,
 )
-from probe_kit.engine import apply_step, draw_choices, init_state, run_policy
-from probe_kit.harness import mc_policy_value
+from probe_kit.engine import apply_step, draw_choices, init_state
+from probe_kit.harness import mc_policy_value, run_policy
 from probe_kit.instances import gen_random
-from probe_kit.matroids import exchange_map, exchange_map_violations
-from probe_kit.objectives import (
-    multilinear_exact,
-    multilinear_sample,
-)
+from probe_kit.objectives import multilinear_exact
 from probe_kit.oracle import optimal_adaptive_value
-from probe_kit.polytope import decompose
+from probe_kit.polytope import decompose_masks, implied_vector_masks
 from probe_kit.relaxation import (
     continuous_greedy,
-    lp_optimum,
-    max_f_plus_over_polytope,
     relaxation_feasible,
     solve_relaxation,
 )
 from probe_kit.seeding import spawn_rng
+
+from conftest import (
+    exchange_map,
+    exchange_map_violations,
+    lp_optimum,
+    max_f_plus_over_polytope,
+    multilinear_sample,
+)
 
 ONE_MINUS_1_OVER_E = 1.0 - math.exp(-1.0)
 TRIALS = 20_000
@@ -246,14 +248,18 @@ def test_criterion_6_structural_invariants():
             assert exchange_map_violations(m, em) == []
             checked += 1
 
-    # decomposition round-trips within 1e-9 on solved relaxations
+    # solved relaxations lie in every polytope (x and p*x, to 1e-7) and
+    # decompose into independent sets that round-trip within 1e-9
     for seed in range(30):
         inst = gen_random(rng.randint(3, 6), 1, 1, "linear", spawn_rng(606, "rt", seed))
         sol = solve_relaxation(inst)
+        assert relaxation_feasible(inst, sol.x0)
         for m, vec in [(m, list(sol.x0)) for m in inst.outer] + [
             (m, [inst.p[i] * sol.x0[i] for i in range(inst.n)]) for m in inst.inner
         ]:
-            rt = decompose(m, vec).implied_vector()
+            terms = decompose_masks(m, vec)
+            assert all(m.indep_mask(mask) for _, mask in terms)
+            rt = implied_vector_masks(terms, inst.n)
             assert max(abs(rt[i] - vec[i]) for i in range(inst.n)) <= 1e-9
 
     # 1000 full runs: state feasibility is asserted inside the engine after

@@ -68,6 +68,28 @@ class TestGenerate:
         assert "Invalid value for '--size'" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, option, value",
+        [
+            ("random", "--k-in", "-1"),
+            ("random", "--k-out", "0"),
+            ("bipartite", "--patience", "0"),
+            ("bipartite", "--edge-prob", "2"),
+            ("bipartite", "--edge-prob", "-1"),
+            ("posted-pricing", "--price-levels", "0"),
+        ],
+    )
+    def test_out_of_range_generator_option_is_usage_error(
+        self, tmp_path, capsys, kind, option, value
+    ):
+        out = tmp_path / "x.json"
+        code, _, stderr = _run(
+            capsys, "generate", "--kind", kind, option, value, "--out", str(out)
+        )
+        assert code == 1
+        assert f"Invalid value for '{option}'" in stderr
+        assert not out.exists()
+
 
 class TestRun:
     @pytest.fixture()
@@ -89,6 +111,25 @@ class TestRun:
         for key in ("mode", "mc_mean", "mc_stderr", "oracle_value", "ratio", "target_ratio"):
             assert key in report
         assert report["trials"] == 500
+
+    @pytest.mark.parametrize("objective, mode", [("linear", "linear"), ("coverage", "submodular")])
+    def test_mode_follows_the_objective(self, tmp_path, capsys, objective, mode):
+        inst = tmp_path / "inst.json"
+        _run(capsys, "generate", "--size", "4", "--objective", objective, "--out", str(inst))
+        code, stdout, _ = _run(
+            capsys, "run", "--instance", str(inst), "--trials", "50", "--cg-steps", "5"
+        )
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["mode"] == mode
+        assert set(report["config"]) == {"cg_steps", "seed", "trials"}
+
+    def test_mode_option_is_rejected(self, instance_file, capsys):
+        code, _, stderr = _run(
+            capsys, "run", "--instance", str(instance_file), "--mode", "linear"
+        )
+        assert code == 1
+        assert "--mode" in stderr
 
     def test_reports_are_reproducible(self, instance_file, tmp_path, capsys):
         outputs = []

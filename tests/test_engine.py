@@ -12,18 +12,16 @@ from probe_kit.engine import (
     draw_choices,
     init_state,
     potential,
-    run_policy,
     select_element,
-    simulate_value,
-    step,
 )
+from probe_kit.harness import run_policy
 from probe_kit.instances import ProbingInstance, gen_bipartite_matching
 from probe_kit.polytope import implied_vector_masks
 from probe_kit.matroids import free_matroid, uniform_matroid
 from probe_kit.objectives import LinearObjective, multilinear_exact
 from probe_kit.relaxation import solve_relaxation
 from probe_kit.seeding import spawn_rng
-from conftest import draw_choices_loop, random_instance
+from conftest import draw_choices_loop, random_instance, simulate_value
 
 
 def _single_element_instance(p=1.0, w=1.0):
@@ -98,21 +96,20 @@ class TestStep:
     def test_certain_element_taken_in_one_step(self):
         inst = _single_element_instance(p=1.0)
         state = init_state(inst, [1.0])
-        out = step(state, random.Random(0))
-        assert out is not None
-        state, record = out
-        assert record.active
+        choices = draw_choices(state, random.Random(0))
+        assert choices is not None and choices.active
+        state = apply_step(state, choices)
         assert state.successes == frozenset({0})
         assert state.x == [0.0]
-        assert step(state, random.Random(0)) is None
+        assert draw_choices(state, random.Random(0)) is None
 
     def test_impossible_element_never_succeeds(self):
         inst = _single_element_instance(p=0.0)
-        state = init_state(inst, [1.0])
-        state, record = step(state, random.Random(0))
-        assert not record.active
-        assert state.successes == frozenset()
-        assert state.probed == frozenset({0})
+        trace = run_policy(inst, [1.0], random.Random(0))
+        assert len(trace) == 1
+        assert not trace.steps[0].active
+        assert trace.final_successes == frozenset()
+        assert trace.final_probed == frozenset({0})
 
     def test_full_run_feasibility(self):
         for seed in range(40):

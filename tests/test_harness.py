@@ -1,7 +1,8 @@
 """Monte Carlo harness: one transition graph per experiment (per worker under
 `jobs`) keeps sums exact, runs `apply_step` once per distinct transition,
-restarts above STORE_CAP and is freed on return; `jobs` is checked and never
-starts more workers than there are chunks."""
+restarts above STORE_CAP and is freed on return; the one policy walk gives
+traced and Monte Carlo runs the same values and stops a chain that does not
+end; `jobs` is checked and never starts more workers than there are chunks."""
 
 import gc
 import math
@@ -12,12 +13,13 @@ import pytest
 import probe_kit.engine
 import probe_kit.harness
 from probe_kit.cli import main
-from probe_kit.engine import simulate_value
-from probe_kit.harness import CHUNK, ExperimentConfig, mc_policy_value
+from probe_kit.engine import init_state
+from probe_kit.errors import InvariantViolation
+from probe_kit.harness import CHUNK, ExperimentConfig, mc_policy_value, run_policy, walk
 from probe_kit.relaxation import solve_relaxation
 from probe_kit.seeding import spawn_rng
 
-from conftest import random_instance
+from conftest import random_instance, simulate_value
 
 TRIALS = 1100  # two full chunks and a partial one
 
@@ -102,6 +104,35 @@ def test_store_cap_restarts_the_graph(monkeypatch, roots):
     monkeypatch.setattr(probe_kit.harness, "STORE_CAP", 4)
     assert mc_policy_value(inst, x0, TRIALS, 3) == expected
     assert len(roots) == 3  # every chunk boundary found more than 4 states
+
+
+@pytest.mark.parametrize("seed, objective", [(5, "linear"), (8, "coverage")])
+def test_traces_match_the_monte_carlo_walk(seed, objective):
+    """Same final value and step count per trial stream, on a fresh graph and
+    on one that earlier trials filled, and the same experiment totals."""
+    inst = random_instance(seed, objective=objective)
+    x0 = solve_relaxation(inst, cg_steps=20).x0
+    trials = 300  # one chunk, so the experiment's sums are the plain running sums
+    root, store = init_state(inst, x0), {}
+    total, steps = 0.0, 0
+    for t in range(trials):
+        trace = run_policy(inst, x0, spawn_rng(seed, "trial", t))
+        for start, graph in ((init_state(inst, x0), {}), (root, store)):
+            state, n_steps = walk(start, spawn_rng(seed, "trial", t), graph)
+            assert (state.objective_value(), n_steps) == (trace.final_value, len(trace))
+        total += trace.final_value
+        steps += len(trace)
+    assert len(store) < steps  # the filled graph was walked again
+    mean, _, steps_mean = mc_policy_value(inst, x0, trials, seed)
+    assert (mean, steps_mean) == (total / trials, steps / trials)
+
+
+def test_a_chain_that_never_ends_raises(monkeypatch):
+    inst = random_instance(3, objective="linear")
+    x0 = solve_relaxation(inst).x0
+    monkeypatch.setattr(probe_kit.harness, "apply_step", lambda state, choices: state)
+    with pytest.raises(InvariantViolation, match="more steps than ground elements"):
+        mc_policy_value(inst, x0, 10, seed=1)
 
 
 def test_graph_is_freed_on_return(monkeypatch):

@@ -15,7 +15,7 @@ from probe_kit.matroids import matroid_axiom_violations, uniform_matroid
 from probe_kit.objectives import LinearObjective
 from probe_kit.oracle import optimal_adaptive_value
 from probe_kit.relaxation import solve_relaxation
-from probe_kit.engine import run_policy
+from probe_kit.harness import run_policy
 from probe_kit.seeding import spawn_rng
 
 
@@ -86,7 +86,7 @@ class TestPostedPricing:
 
         inst = gen_posted_pricing(2, 1, uniform_matroid(2, 1), [[0.5, 0.5]] * 2)
         assert inst.k_in == 1 and inst.k_out == 1
-        assert theoretical_ratio(inst, "linear") == pytest.approx(0.5)
+        assert theoretical_ratio(inst) == pytest.approx(0.5)
 
     def test_lifted_inner_respects_feasibility(self):
         inst = gen_posted_pricing(2, 1, uniform_matroid(2, 1), [[0.5, 0.5]] * 2)

@@ -7,10 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probe_kit.matroids import (
-    ExchangeMap,
     Matroid,
-    exchange_map,
-    exchange_map_violations,
     explicit_matroid,
     free_matroid,
     graphic_matroid,
@@ -22,6 +19,8 @@ from probe_kit.matroids import (
     _PartitionKind,
     _UniformKind,
 )
+
+from conftest import ExchangeMap, exchange_map, exchange_map_violations
 
 # elements are named a=0, b=1, c=2, d=3 in comments below
 

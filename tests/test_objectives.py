@@ -14,10 +14,9 @@ from probe_kit.objectives import (
     Objective,
     WeightedRankObjective,
     multilinear_exact,
-    multilinear_sample,
     objective_structure_violations,
 )
-from conftest import f_plus_bruteforce, partial_derivative
+from conftest import f_plus_bruteforce, multilinear_sample, partial_derivative
 
 
 class TestSetValues:

@@ -15,11 +15,9 @@ from probe_kit.matroids import (
 from probe_kit.errors import InvariantViolation
 from probe_kit.polytope import (
     _decompose_lp,
-    decompose,
     decompose_masks,
     implied_vector_masks,
     in_polytope,
-    support_update,
     support_update_masks,
 )
 
@@ -50,38 +48,33 @@ class TestMembership:
 class TestDecompose:
     def test_split_point_on_rank_one(self):
         m = uniform_matroid(2, 1)
-        d = decompose(m, [0.5, 0.5])
-        assert dict(zip(map(frozenset, d.sets), d.weights)) == {
-            frozenset({0}): 0.5,
-            frozenset({1}): 0.5,
-        }
+        terms = decompose_masks(m, [0.5, 0.5])
+        assert {mask: w for w, mask in terms} == {0b01: 0.5, 0b10: 0.5}
 
     def test_integral_point_single_term(self):
         m = free_matroid(2)
-        d = decompose(m, [1.0, 1.0])
-        assert d.weights == [1.0]
-        assert d.sets == [frozenset({0, 1})]
+        assert decompose_masks(m, [1.0, 1.0]) == [(1.0, 0b11)]
 
     def test_uniform_half_vector_round_trip(self):
         m = uniform_matroid(4, 2)
         x = [0.5, 0.5, 0.5, 0.5]
-        d = decompose(m, x)
-        rt = d.implied_vector()
+        terms = decompose_masks(m, x)
+        rt = implied_vector_masks(terms, 4)
         assert max(abs(rt[i] - x[i]) for i in range(4)) <= 1e-9
-        for s in d.sets:
-            assert m.is_independent(s)
-        assert abs(sum(d.weights) - 1.0) <= 1e-9
+        for _, mask in terms:
+            assert m.indep_mask(mask)
+        assert abs(sum(w for w, _ in terms) - 1.0) <= 1e-9
 
     def test_point_outside_rejected(self):
+        # the peel cannot finish, and the exact LP fallback finds no combination
         with pytest.raises(ValueError):
-            decompose(uniform_matroid(2, 1), [0.7, 0.7])
+            decompose_masks(uniform_matroid(2, 1), [0.7, 0.7])
 
     def test_term_count_caratheodory_bound(self):
         rng = random.Random(11)
         m = partition_matroid(6, [[0, 1, 2], [3, 4, 5]], [2, 1])
         x = _random_point(m, rng)
-        d = decompose(m, x)
-        assert len(d) <= m.ground_size + 1
+        assert len(decompose_masks(m, x)) <= m.ground_size + 1
 
     @pytest.mark.parametrize("n", [13, 14, 15])
     def test_lp_fallback_wide_support(self, n):
@@ -109,11 +102,11 @@ class TestDecompose:
         rng = random.Random(seed)
         m = _random_matroid(rng)
         x = _random_point(m, rng)
-        d = decompose(m, x)
-        rt = d.implied_vector()
+        terms = decompose_masks(m, x)
+        rt = implied_vector_masks(terms, m.ground_size)
         assert max(abs(rt[i] - x[i]) for i in range(m.ground_size)) <= 1e-9
-        for s in d.sets:
-            assert m.is_independent(s)
+        for _, mask in terms:
+            assert m.indep_mask(mask)
 
 
 class TestSupportUpdate:
@@ -149,13 +142,15 @@ class TestSupportUpdate:
         with pytest.raises(ValueError):
             support_update_masks(m, terms, 0, 1)
 
-    def test_public_wrapper_validates_and_contracts(self):
+    def test_rank_one_update_of_a_decomposition_is_independent_after_contraction(self):
         m = uniform_matroid(2, 1)
-        d = decompose(m, [0.5, 0.5])
-        guide = next(i for i, s in enumerate(d.sets) if 0 in s)
-        d2 = support_update(d, 0, guide, m.contract(0))
-        assert d2.matroid.contracted == frozenset({0})
-        assert max(abs(v) for v in d2.implied_vector()) == 0.0
+        terms = decompose_masks(m, [0.5, 0.5])
+        guide = next(i for i, (_, mask) in enumerate(terms) if mask & 0b01)
+        out = support_update_masks(m, terms, 0, guide)
+        mc = m.contract(0)
+        assert mc.contracted == frozenset({0})
+        assert all(mc.indep_mask(mask) for _, mask in out)
+        assert implied_vector_masks(out, 2) == [0.0, 0.0]
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 10_000))

@@ -20,14 +20,18 @@ from probe_kit.relaxation import (
     _scaled_gradient,
     build_probing_lp,
     continuous_greedy,
-    lp_optimum,
-    max_f_plus_over_polytope,
     relaxation_feasible,
     solve_lp,
     solve_relaxation,
 )
 from probe_kit.seeding import spawn_rng
-from conftest import enumerate_basic_solutions, partial_derivative, random_instance
+from conftest import (
+    enumerate_basic_solutions,
+    lp_optimum,
+    max_f_plus_over_polytope,
+    partial_derivative,
+    random_instance,
+)
 
 
 class TestSolveLp:
