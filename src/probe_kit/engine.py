@@ -4,20 +4,22 @@ and master-vector reconciliation, plus the state, step-record and trace types.
 
 The sampled choices of one step are isolated in `StepChoices`, so the same
 deterministic core (`apply_step`) serves both the policy walk in `harness`
-and the exact single-step outcome enumeration used by the drift harness.
-Every draw reads the cumulative tables a state caches on first use
-(`element_table`, `guide_tables`), so a state the walk meets again draws
-without rebuilding them.
+and the exact one-step expectations of the drift checks. Every draw reads
+the cumulative tables a state caches on first use (`element_table`,
+`guide_tables`), so a state the walk meets again draws without rebuilding
+them. `outcomes` enumerates the same tables: each choice `draw_choices` can
+return, with the probability that its draws give it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation
 from .instances import ProbingInstance
@@ -258,6 +260,44 @@ def draw_choices(state: PolicyState, rng: random.Random) -> Optional[StepChoices
     else:
         inner_guides = (None,) * len(inner_tables)
     return StepChoices(e, active, outer_guides, inner_guides)
+
+
+def _shares(table: Optional[DrawTable]) -> List[Tuple[Optional[int], float]]:
+    """Each key of a draw table with its probability, the key's running-sum
+    increment over the table total; a missing table is the key None."""
+    if table is None:
+        return [(None, 1.0)]
+    keys, sums = table
+    return [(k, (acc - prev) / sums[-1]) for k, acc, prev in zip(keys, sums, (0.0,) + sums[:-1])]
+
+
+def outcomes(state: PolicyState) -> Iterator[Tuple[float, StepChoices]]:
+    """Every choice `draw_choices` can return from `state`, with its
+    probability; a terminal state has none.
+
+    The element, the outer guides and, for an active probe, the inner guides
+    are read from the tables `draw_choices` bisects, and the probe is active
+    with probability p_e.
+    """
+    if state.sigma <= SIGMA_EPS:
+        return
+    p = state.inst.p
+    for e, share in _shares(state.element_table):
+        outer_tables, inner_tables = state.guide_tables(e)
+        if None in outer_tables:
+            raise InvariantViolation("no outer support term contains the probed element")
+        outer = list(itertools.product(*map(_shares, outer_tables)))
+        for active, prob in ((False, 1.0 - p[e]), (True, p[e])):
+            if prob <= 0.0:
+                continue
+            inner = [_shares(t if active else None) for t in inner_tables]
+            for og, ig in itertools.product(outer, itertools.product(*inner)):
+                q = share * prob
+                for _, r in og + ig:
+                    q *= r
+                yield q, StepChoices(
+                    e, active, tuple(a for a, _ in og), tuple(a for a, _ in ig)
+                )
 
 
 def apply_step(state: PolicyState, choices: StepChoices) -> PolicyState:

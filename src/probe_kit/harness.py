@@ -50,7 +50,7 @@ from .engine import (
 )
 from .errors import CapabilityError, InvariantViolation
 from .instances import ProbingInstance
-from .oracle import DP_CAP, optimal_adaptive_value
+from .oracle import optimal_adaptive_value
 from .relaxation import RelaxedSolution, solve_relaxation
 from .seeding import spawn_rng
 
@@ -64,7 +64,6 @@ class ExperimentConfig:
     seed: int = 0
     cg_steps: int = 200
     jobs: int = 1
-    oracle_cap: int = DP_CAP
 
     def __post_init__(self):
         if self.trials < 1:
@@ -250,15 +249,11 @@ def run_experiment(
     mean, stderr, steps_mean = mc_policy_value(
         inst, relaxed.x0, config.trials, config.seed, jobs=config.jobs
     )
-    oracle_value = None
-    ratio = None
-    if inst.n <= config.oracle_cap:
-        try:
-            oracle_value = optimal_adaptive_value(inst)
-        except CapabilityError:
-            oracle_value = None
-        if oracle_value:
-            ratio = mean / oracle_value
+    try:
+        oracle_value = optimal_adaptive_value(inst)
+    except CapabilityError:
+        oracle_value = None
+    ratio = mean / oracle_value if oracle_value else None
     return ExperimentReport(
         mode="linear" if inst.objective.is_linear else "submodular",
         relaxation_value=relaxed.objective_value,

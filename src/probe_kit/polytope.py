@@ -139,8 +139,8 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
     Iteratively removes weight on a greedy maximum independent set inside the
     current support, taking the largest step that keeps the rescaled residual
     in the polytope.  Certification (round-trip within 1e-9) is the caller's
-    contract; on a stalled peel we fall back to an exact LP over all
-    independent subsets of the support.
+    contract; on a stalled peel we fall back to an exact nonnegative
+    least-squares fit over all independent subsets of the support.
     """
     n = m.ground_size
     residual = [min(max(float(v), 0.0), 1.0) for v in x]
@@ -198,7 +198,7 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
     terms = _merge_terms(terms)
     if len(terms) > n + 1:
         terms = _caratheodory_reduce(terms, n)
-    # certify the round trip; fall back to the exact LP if peeling drifted
+    # certify the round trip; fall back to the exact fit if peeling drifted
     implied = implied_vector_masks(terms, n)
     if any(abs(implied[i] - min(max(float(x[i]), 0.0), 1.0)) > EPS for i in range(n)):
         return _decompose_lp(m, x)
@@ -206,14 +206,20 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
 
 
 def _decompose_lp(m: Matroid, x: Sequence[float]) -> MaskTerms:
-    """Exact fallback: feasibility LP over all independent subsets of supp(x)."""
-    from scipy.optimize import linprog
+    """Exact fallback: nonnegative least squares over all independent subsets
+    of supp(x), with one least-squares refinement on the columns it keeps.
+
+    Raises ValueError when no convex combination of them is within EPS of x.
+    The kept columns are distinct and linearly independent, so there are at
+    most n+1 of them and nothing to merge.
+    """
+    from scipy.optimize import nnls
 
     n = m.ground_size
     support = _support_mask(x)
     if support.bit_count() > _TABLE_CAP:
         raise InvariantViolation(
-            f"LP decomposition fallback limited to {_TABLE_CAP} support elements"
+            f"exact decomposition fallback limited to {_TABLE_CAP} support elements"
         )
     columns = [0]
     sub = support
@@ -221,26 +227,18 @@ def _decompose_lp(m: Matroid, x: Sequence[float]) -> MaskTerms:
         if m.indep_mask(sub):
             columns.append(sub)
         sub = (sub - 1) & support
-    a_eq = np.zeros((n + 1, len(columns)))
+    a = np.zeros((n + 1, len(columns)))
     for j, mask in enumerate(columns):
         for i in bits(mask):
-            a_eq[i, j] = 1.0
-        a_eq[n, j] = 1.0
-    b_eq = np.array([min(max(float(v), 0.0), 1.0) for v in x] + [1.0])
-    res = linprog(
-        c=np.zeros(len(columns)),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(0, 1)] * len(columns),
-        method="highs",
-    )
-    if not res.success:
+            a[i, j] = 1.0
+        a[n, j] = 1.0
+    b = np.array([min(max(float(v), 0.0), 1.0) for v in x] + [1.0])
+    w, residual = nnls(a, b)
+    if residual > EPS:
         raise ValueError("point is not in the matroid polytope")
-    terms = [(float(w), mask) for w, mask in zip(res.x, columns) if w > EPS]
-    terms = _merge_terms(terms)
-    if len(terms) > n + 1:
-        terms = _caratheodory_reduce(terms, n)
-    return terms
+    keep = np.flatnonzero(w > 1e-12)  # larger than NNLS round-off
+    w = np.linalg.lstsq(a[:, keep], b, rcond=None)[0]
+    return [(float(v), columns[j]) for v, j in zip(w, keep)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,13 @@ from probe_kit.instances import ProbingInstance, gen_random
 from probe_kit.matroids import Matroid, _exchange_mapping_masks, bits, mask_of, set_of
 from probe_kit.objectives import MultilinearValue, Objective, multilinear_exact
 from probe_kit.oracle import _AdaptiveDP, _probe_candidates
-from probe_kit.relaxation import LinearProgram, _polytope_rows, build_probing_lp, solve_lp
+from probe_kit.relaxation import (
+    LinearProgram,
+    _polytope_rows,
+    build_probing_lp,
+    solve_lp,
+    solve_relaxation,
+)
 from probe_kit.seeding import spawn_rng
 
 FPLUS_CAP = 10  # 2^n LP columns limit
@@ -31,6 +37,34 @@ def random_instance(seed, n=None, k_in=None, k_out=None, objective="linear"):
     if k_out is None:
         k_out = rng.randint(1, 2)
     return gen_random(n, k_in, k_out, objective, rng)
+
+
+def mid_run_states(count, seed_base):
+    """Policy states reached in 0-2 steps from solved relaxations of small
+    random instances, keeping those with Sigma > 1e-6."""
+    engine = probe_kit.engine
+    states = []
+    i = 0
+    while len(states) < count:
+        rng = spawn_rng(seed_base, "state", i)
+        i += 1
+        inst = gen_random(
+            rng.randint(3, 5),
+            rng.randint(0, 2),
+            rng.randint(1, 2),
+            rng.choice(["linear", "coverage"]),
+            rng,
+        )
+        sol = solve_relaxation(inst, cg_steps=60)
+        state = engine.init_state(inst, sol.x0)
+        for _ in range(rng.randint(0, 2)):
+            choices = engine.draw_choices(state, rng)
+            if choices is None:
+                break
+            state = engine.apply_step(state, choices)
+        if state.sigma > 1e-6:
+            states.append(state)
+    return states
 
 
 def partial_derivative(f, y, e):

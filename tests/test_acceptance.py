@@ -10,13 +10,8 @@ import random
 
 import numpy as np
 
-from probe_kit.drift import (
-    exact_mean,
-    sample_atom_means,
-    step_outcome_atoms,
-    update_atoms,
-)
-from probe_kit.engine import apply_step, draw_choices, init_state
+from probe_kit.drift import update_losses
+from probe_kit.engine import apply_step, outcomes
 from probe_kit.harness import mc_policy_value, run_policy
 from probe_kit.instances import gen_random
 from probe_kit.objectives import multilinear_exact
@@ -34,12 +29,12 @@ from conftest import (
     exchange_map_violations,
     lp_optimum,
     max_f_plus_over_polytope,
+    mid_run_states,
     multilinear_sample,
 )
 
 ONE_MINUS_1_OVER_E = 1.0 - math.exp(-1.0)
 TRIALS = 20_000
-DRIFT_SAMPLES = 100_000
 
 
 def _instance_pool(count, seed_base, objective_kinds, n_lo, n_hi):
@@ -132,100 +127,68 @@ def test_criterion_4_continuous_greedy_bound():
     _report("4 continuous-greedy bound", True, f"{len(instances)} instances")
 
 
-def _random_states(count, seed_base):
-    """Mid-run policy states reached from solved relaxations."""
-    states = []
-    i = 0
-    while len(states) < count:
-        rng = spawn_rng(seed_base, "state", i)
-        i += 1
-        inst = gen_random(
-            rng.randint(3, 5),
-            rng.randint(0, 2),
-            rng.randint(1, 2),
-            rng.choice(["linear", "coverage"]),
-            rng,
-        )
-        sol = solve_relaxation(inst, cg_steps=60)
-        state = init_state(inst, sol.x0)
-        for _ in range(rng.randint(0, 2)):
-            choices = draw_choices(state, rng)
-            if choices is None:
-                break
-            state = apply_step(state, choices)
-        if state.sigma > 1e-6:
-            states.append(state)
-    return states
-
-
 def test_criterion_5_drift_inequalities():
     """Per-update and per-step expected coordinate losses stay within bounds,
-    and the expected gain covers the expected potential drop."""
-    states = _random_states(20, 505)
-    rng = np.random.default_rng(5050)
+    and the expected gain covers the expected potential drop, in exact
+    expectation over every outcome of one step."""
+    states = mid_run_states(20, 505)
     for si, state in enumerate(states):
         inst = state.inst
         n = inst.n
         sigma = state.sigma
         x = state.x
         p = inst.p
-
-        # one outer matroid update: E[loss_i] <= (1/Sigma)(1 - x_i) p_i x_i
-        for j, m in enumerate(state.outer_m):
-            atoms = update_atoms(m, state.outer_terms[j], x, p)
-            mean, stderr = sample_atom_means(
-                atoms, [a.deltas for a in atoms], DRIFT_SAMPLES, rng
-            )
-            for i in range(n):
-                bound = (1.0 - x[i]) * p[i] * x[i] / sigma
-                assert mean[i] <= bound + 4 * stderr[i] + 1e-12, (
-                    f"state {si} outer {j} coord {i}: {mean[i]:.6f} > {bound:.6f}"
-                )
-
-        # one inner matroid update: E[loss_i] <= (1/Sigma)(1 - p_i x_i) p_i x_i
-        for j, m in enumerate(state.inner_m):
-            atoms = update_atoms(m, state.inner_terms[j], x, p, inner=True)
-            mean, stderr = sample_atom_means(
-                atoms, [a.deltas for a in atoms], DRIFT_SAMPLES, rng
-            )
-            for i in range(n):
-                bound = (1.0 - p[i] * x[i]) * p[i] * x[i] / sigma
-                assert mean[i] <= bound + 4 * stderr[i] + 1e-12, (
-                    f"state {si} inner {j} coord {i}: {mean[i]:.6f} > {bound:.6f}"
-                )
-
-        # full step, losses excluding the probed element's own zeroing:
-        # E[loss_i] <= (k_out + k_in)/Sigma * p_i x_i
-        atoms = step_outcome_atoms(state)
         k = inst.k_out + inst.k_in
-        update_losses = []
-        for a in atoms:
-            row = list(a.deltas)
-            if a.element >= 0:
-                row[a.element] = 0.0
-            update_losses.append(row)
-        mean, stderr = sample_atom_means(atoms, update_losses, DRIFT_SAMPLES, rng)
+        f_before = state.objective_value()
+        outer = [update_losses(state, j) for j in range(inst.k_out)]
+        inner = [update_losses(state, j, inner=True) for j in range(inst.k_in)]
+
+        total = 0.0
+        outer_mean = np.zeros((inst.k_out, n))
+        inner_mean = np.zeros((inst.k_in, n))
+        step_mean = np.zeros(n)
+        gain = drop = 0.0
+        for prob, choices in outcomes(state):
+            e = choices.element
+            nxt = apply_step(state, choices)
+            total += prob
+            for j, g in enumerate(choices.outer_guides):
+                outer_mean[j] += prob * np.array(outer[j](e, g))
+            for j, g in enumerate(choices.inner_guides):
+                inner_mean[j] += prob * np.array(inner[j](e, g))
+            # full-step losses, excluding the probed element's own zeroing
+            deltas = np.array([p[i] * (x[i] - nxt.x[i]) for i in range(n)])
+            deltas[e] = 0.0
+            step_mean += prob * deltas
+            gain += prob * (nxt.objective_value() - f_before)
+            drop += prob * (state.z - nxt.z)
+        assert abs(total - 1.0) <= 1e-12, f"state {si}: probabilities sum to {total!r}"
+
         for i in range(n):
+            # one outer matroid update: E[loss_i] <= (1/Sigma)(1 - x_i) p_i x_i
+            bound = (1.0 - x[i]) * p[i] * x[i] / sigma
+            for j in range(inst.k_out):
+                assert outer_mean[j, i] <= bound + 1e-12, (
+                    f"state {si} outer {j} coord {i}: {outer_mean[j, i]:.6f} > {bound:.6f}"
+                )
+            # one inner matroid update: E[loss_i] <= (1/Sigma)(1 - p_i x_i) p_i x_i
+            bound = (1.0 - p[i] * x[i]) * p[i] * x[i] / sigma
+            for j in range(inst.k_in):
+                assert inner_mean[j, i] <= bound + 1e-12, (
+                    f"state {si} inner {j} coord {i}: {inner_mean[j, i]:.6f} > {bound:.6f}"
+                )
+            # full step: E[loss_i] <= (k_out + k_in)/Sigma * p_i x_i
             bound = k * p[i] * x[i] / sigma
-            assert mean[i] <= bound + 4 * stderr[i] + 1e-12, (
-                f"state {si} full step coord {i}: {mean[i]:.6f} > {bound:.6f}"
+            assert step_mean[i] <= bound + 1e-12, (
+                f"state {si} full step coord {i}: {step_mean[i]:.6f} > {bound:.6f}"
             )
 
-        # gain-loss coupling: E[gain] >= alpha E[z drop] - 4 combined stderr
-        alpha = (
-            1.0 / k if inst.objective.is_linear else 1.0 / (k + 1)
+        # gain-loss coupling: E[gain] >= alpha E[z drop]
+        alpha = 1.0 / k if inst.objective.is_linear else 1.0 / (k + 1)
+        assert gain >= alpha * drop - 1e-12, (
+            f"state {si}: gain {gain:.6f} < alpha*drop {alpha * drop:.6f}"
         )
-        pairs = [(a.gain, state.z - a.z_after) for a in atoms]
-        mean2, stderr2 = sample_atom_means(atoms, pairs, DRIFT_SAMPLES, rng)
-        combined = math.hypot(stderr2[0], alpha * stderr2[1])
-        assert mean2[0] >= alpha * mean2[1] - 4 * combined - 1e-12, (
-            f"state {si}: gain {mean2[0]:.6f} < alpha*drop {alpha * mean2[1]:.6f}"
-        )
-
-        # cross-check: the sampled full-step means sit near the exact ones
-        exact = exact_mean(atoms, update_losses)
-        assert np.all(np.abs(exact - mean) <= 5 * stderr + 1e-9)
-    _report("5 drift inequalities", True, f"{len(states)} states x {DRIFT_SAMPLES} samples")
+    _report("5 drift inequalities", True, f"{len(states)} states, exact expectations")
 
 
 def test_criterion_6_structural_invariants():

@@ -131,6 +131,16 @@ class TestRun:
         assert code == 1
         assert "--mode" in stderr
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_cg_steps_below_one_is_usage_error(self, instance_file, capsys, command, steps):
+        code, stdout, stderr = _run(
+            capsys, command, "--instance", str(instance_file), "--cg-steps", steps
+        )
+        assert code == 1
+        assert "--cg-steps" in stderr
+        assert stdout == ""
+
     def test_reports_are_reproducible(self, instance_file, tmp_path, capsys):
         outputs = []
         for name in ("r1.json", "r2.json"):
@@ -302,6 +312,20 @@ class TestVerify:
         out.write_text(json.dumps(doc))
         code, _, _ = _run(capsys, "verify", "--instance", str(out))
         assert code == 1  # schema-level rejection on load
+
+
+    def test_near_integral_point_round_trips(self, tmp_path, capsys):
+        # x0 has coordinates of 1 - 1e-9, so the peel stalls and the exact
+        # fallback must keep terms of weight about 1e-9
+        out = tmp_path / "matching.json"
+        code, _, _ = _run(
+            capsys, "generate", "--kind", "bipartite", "--size", "4", "--patience", "2",
+            "--edge-prob", "0.9", "--seed", "24", "--out", str(out),
+        )
+        assert code == 0
+        code, stdout, stderr = _run(capsys, "verify", "--instance", str(out))
+        assert code == 0, stderr
+        assert stdout == "ok\n"
 
 
 class TestHelp:

@@ -11,6 +11,7 @@ from probe_kit.engine import (
     apply_step,
     draw_choices,
     init_state,
+    outcomes,
     potential,
     select_element,
 )
@@ -21,7 +22,7 @@ from probe_kit.matroids import free_matroid, uniform_matroid
 from probe_kit.objectives import LinearObjective, multilinear_exact
 from probe_kit.relaxation import solve_relaxation
 from probe_kit.seeding import spawn_rng
-from conftest import draw_choices_loop, random_instance, simulate_value
+from conftest import draw_choices_loop, mid_run_states, random_instance, simulate_value
 
 
 def _single_element_instance(p=1.0, w=1.0):
@@ -120,6 +121,36 @@ class TestStep:
                 assert m.is_independent(trace.final_successes)
             for m in inst.outer:
                 assert m.is_independent(trace.final_probed)
+
+
+class TestOutcomes:
+    def test_every_draw_is_an_outcome(self):
+        for si, state in enumerate(mid_run_states(20, 505)):
+            keys = {choices for _, choices in outcomes(state)}
+            rng = spawn_rng(si, "outcomes")
+            for _ in range(2000):
+                assert draw_choices(state, rng) in keys
+
+    def test_probabilities_follow_the_term_weights(self):
+        # x_e/Sigma, times p_e or 1-p_e, times w_a / sum of w_b over the
+        # terms b holding e, for each matroid's guide a
+        for state in mid_run_states(20, 505):
+            p = state.inst.p
+            total = 0.0
+            for prob, (e, active, outer, inner) in outcomes(state):
+                expected = state.x[e] / state.sigma * (p[e] if active else 1.0 - p[e])
+                guided = list(zip(state.outer_terms, outer))
+                if active:
+                    guided += [(t, a) for t, a in zip(state.inner_terms, inner) if a is not None]
+                for terms, a in guided:
+                    expected *= terms[a][0] / sum(w for w, mask in terms if mask >> e & 1)
+                assert abs(prob - expected) <= 1e-12
+                total += prob
+            assert abs(total - 1.0) <= 1e-12
+
+    def test_terminal_state_has_no_outcomes(self):
+        state = init_state(random_instance(2, n=3), [0.0, 0.0, 0.0])
+        assert list(outcomes(state)) == []
 
 
 class TestRunPolicy:
