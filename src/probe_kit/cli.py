@@ -79,12 +79,12 @@ def cmd_generate(kind, size, k_in, k_out, objective, edge_prob, patience, price_
 
 @cli.command("run")
 @click.option("--instance", type=click.Path(exists=True), required=True)
-@click.option("--trials", type=int, default=10000, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--cg-steps", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--out", type=click.Path(writable=True), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_run(instance, trials, seed, cg_steps, out, fmt, jobs):
     """Solve the relaxation and run Monte Carlo policy trials."""
     inst = ProbingInstance.load(instance)

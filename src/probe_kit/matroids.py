@@ -347,6 +347,21 @@ class Matroid:
             return tbl[full] == full.bit_count()
         return self._kind.indep_mask(full)
 
+    def extension_masks(self) -> np.ndarray:
+        """For every mask A, the mask of the elements e not in A with A + e
+        independent (as `indep_mask` judges it), from the rank table in n
+        vector passes; needs n <= _TABLE_CAP."""
+        if self._tbl is None:
+            raise ValueError(f"extension masks need at most {_TABLE_CAP} elements")
+        n = self._kind.n
+        masks = np.arange(1 << n, dtype=np.int64)
+        full = masks | self._cmask
+        indep = np.asarray(self._tbl)[full] == _popcounts(n)[full]
+        ext = np.zeros(1 << n, dtype=np.int64)
+        for e in range(n):
+            ext |= (indep[masks | 1 << e] & (masks >> e & 1 == 0)).astype(np.int64) << e
+        return ext
+
     def polytope_row_masks(self) -> list:
         """Masks A whose rank rows x(A) <= r(A), with 0 <= x <= 1, cut out P(M).
 

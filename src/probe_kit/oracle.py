@@ -5,24 +5,12 @@ ratio check.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import CapabilityError
 from .instances import ProbingInstance
 
 DP_CAP = 12
-
-
-def _probe_candidates(inst: ProbingInstance, q_mask: int, s_mask: int):
-    for e in range(inst.n):
-        ebit = 1 << e
-        if q_mask & ebit:
-            continue
-        # an active element must be taken, so e is probeable only if taking it
-        # would keep the success set inner-feasible
-        if not all(m.indep_mask(q_mask | ebit) for m in inst.outer):
-            continue
-        if not all(m.indep_mask(s_mask | ebit) for m in inst.inner):
-            continue
-        yield e
 
 
 class _AdaptiveDP:
@@ -37,6 +25,14 @@ class _AdaptiveDP:
             raise CapabilityError(f"adaptive DP limited to {DP_CAP} elements")
         self.inst = inst
         self.value_table = inst.objective.value_table()
+        # e is probeable at (q, s) when q + e is outer-independent and, since an
+        # active element must be taken, s + e inner-independent: the bits of
+        # outer_ext[q] & inner_ext[s], each the AND of its matroids' extension masks
+        full = np.full(1 << inst.n, (1 << inst.n) - 1, dtype=np.int64)
+        self.outer_ext, self.inner_ext = (
+            np.bitwise_and.reduce([full] + [m.extension_masks() for m in ms]).tolist()
+            for ms in (inst.outer, inst.inner)
+        )
         self.memo = {}
 
     def value(self, q_mask: int, s_mask: int) -> float:
@@ -45,8 +41,11 @@ class _AdaptiveDP:
         if cached is not None:
             return cached
         best = self.value_table[s_mask]
-        for e in _probe_candidates(self.inst, q_mask, s_mask):
-            v = self.probe_value(q_mask, s_mask, e)
+        cand = self.outer_ext[q_mask] & self.inner_ext[s_mask]
+        while cand:  # matroids.bits, inlined in the DP's hot loop
+            low = cand & -cand
+            cand ^= low
+            v = self.probe_value(q_mask, s_mask, low.bit_length() - 1)
             if v > best:
                 best = v
         self.memo[key] = best

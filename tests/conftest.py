@@ -14,7 +14,7 @@ from probe_kit.errors import CapabilityError, InvariantViolation
 from probe_kit.instances import ProbingInstance, gen_random
 from probe_kit.matroids import Matroid, _exchange_mapping_masks, bits, mask_of, set_of
 from probe_kit.objectives import MultilinearValue, Objective, multilinear_exact
-from probe_kit.oracle import _AdaptiveDP, _probe_candidates
+from probe_kit.oracle import _AdaptiveDP
 from probe_kit.relaxation import (
     LinearProgram,
     _polytope_rows,
@@ -154,6 +154,46 @@ def simulate_value(inst: ProbingInstance, x0, rng: random.Random) -> float:
 PolicyTree = Optional[Tuple[int, "PolicyTree", "PolicyTree"]]
 
 
+def _probe_candidates(inst: ProbingInstance, q_mask: int, s_mask: int):
+    for e in range(inst.n):
+        ebit = 1 << e
+        if q_mask & ebit:
+            continue
+        # an active element must be taken, so e is probeable only if taking it
+        # would keep the success set inner-feasible
+        if not all(m.indep_mask(q_mask | ebit) for m in inst.outer):
+            continue
+        if not all(m.indep_mask(s_mask | ebit) for m in inst.inner):
+            continue
+        yield e
+
+
+def reference_adaptive_value(inst: ProbingInstance) -> float:
+    """E[OPT] by the adaptive DP with independence calls per state, in the
+    order and arithmetic of `optimal_adaptive_value`; its exact reference."""
+    value_table = inst.objective.value_table()
+    memo = {}
+
+    def value(q_mask: int, s_mask: int) -> float:
+        key = (q_mask, s_mask)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        best = value_table[s_mask]
+        for e in _probe_candidates(inst, q_mask, s_mask):
+            ebit = 1 << e
+            pe = inst.p[e]
+            v = pe * value(q_mask | ebit, s_mask | ebit) + (1.0 - pe) * value(
+                q_mask | ebit, s_mask
+            )
+            if v > best:
+                best = v
+        memo[key] = best
+        return best
+
+    return value(0, 0)
+
+
 def optimal_policy_tree(inst: ProbingInstance) -> PolicyTree:
     """Recover one optimal decision tree from the adaptive DP (stop on ties)."""
     dp = _AdaptiveDP(inst)
@@ -162,7 +202,7 @@ def optimal_policy_tree(inst: ProbingInstance) -> PolicyTree:
         target = dp.value(q_mask, s_mask)
         if target <= dp.value_table[s_mask] + 1e-12:
             return None
-        for e in _probe_candidates(inst, q_mask, s_mask):
+        for e in bits(dp.outer_ext[q_mask] & dp.inner_ext[s_mask]):
             if dp.probe_value(q_mask, s_mask, e) >= target - 1e-12:
                 ebit = 1 << e
                 return (e, tree(q_mask | ebit, s_mask | ebit), tree(q_mask | ebit, s_mask))

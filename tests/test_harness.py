@@ -228,4 +228,14 @@ def test_jobs_below_one_rejected(jobs, tmp_path, capsys):
     assert main(["generate", "--size", "4", "--seed", "1", "--out", str(inst)]) == 0
     argv = ["run", "--instance", str(inst), "--trials", "10", "--jobs", str(jobs)]
     assert main(argv) == 1
-    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert "Invalid value for '--jobs'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_trials_below_one_rejected(trials, tmp_path, capsys):
+    with pytest.raises(ValueError, match="trials"):
+        ExperimentConfig(trials=trials)
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "--size", "4", "--seed", "1", "--out", str(inst)]) == 0
+    assert main(["run", "--instance", str(inst), "--trials", str(trials)]) == 1
+    assert "Invalid value for '--trials'" in capsys.readouterr().err

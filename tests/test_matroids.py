@@ -235,6 +235,36 @@ class TestRankTable:
             self._assert_table_matches_loop(_UniformKind(n, rng.randint(0, n + 1)))
 
 
+class TestExtensionMasks:
+    """The extension table against brute-force `indep_mask(A | 1 << e)`."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            uniform_matroid(5, 2),
+            uniform_matroid(4, 0),
+            partition_matroid(6, [[0, 1, 2], [3, 4]], [1, 2]),  # element 5 free
+            graphic_matroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (1, 1)]),  # loop 5
+            explicit_matroid(4, [[], [0, 1], [0, 2], [1, 3], [2, 3]]),
+            graphic_matroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)]).contract(0),
+            partition_matroid(5, [[0, 1], [2, 3, 4]], [1, 2]).contract(2).contract(4),
+            free_matroid(0),
+        ],
+        ids=repr,
+    )
+    def test_matches_indep_mask(self, m):
+        n = m.ground_size
+        ext = m.extension_masks()
+        assert len(ext) == 1 << n
+        for a in range(1 << n):
+            expected = mask_of(e for e in range(n) if not a >> e & 1 and m.indep_mask(a | 1 << e))
+            assert int(ext[a]) == expected, (a, int(ext[a]), expected)
+
+    def test_above_table_cap_rejected(self):
+        with pytest.raises(ValueError, match="extension masks"):
+            uniform_matroid(17, 2).extension_masks()
+
+
 class TestSerialization:
     def test_round_trip_all_kinds(self):
         matroids = [

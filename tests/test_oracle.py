@@ -6,11 +6,17 @@ import random
 import pytest
 
 from probe_kit.errors import CapabilityError
-from probe_kit.instances import ProbingInstance
+from probe_kit.instances import ProbingInstance, gen_bipartite_matching
 from probe_kit.matroids import free_matroid, uniform_matroid
 from probe_kit.objectives import LinearObjective
 from probe_kit.oracle import optimal_adaptive_value
-from conftest import optimal_policy_tree, policy_value_exact, random_instance
+from probe_kit.seeding import spawn_rng
+from conftest import (
+    optimal_policy_tree,
+    policy_value_exact,
+    random_instance,
+    reference_adaptive_value,
+)
 
 
 def _linear_instance(p, w, inner, outer):
@@ -68,6 +74,27 @@ class TestAdaptiveValue:
         )
         with pytest.raises(CapabilityError):
             optimal_adaptive_value(inst)
+
+
+class TestMatchesReference:
+    """The extension-mask DP gives the per-state independence-call DP's value
+    exactly: same candidates, same order, same arithmetic."""
+
+    @pytest.mark.parametrize("objective", ["linear", "coverage"])
+    def test_random_instances(self, objective):
+        for seed in range(32):
+            rng = random.Random(seed)
+            inst = random_instance(
+                900 + seed, n=rng.randint(3, 8), k_in=rng.randint(0, 2),
+                k_out=rng.randint(1, 2), objective=objective,
+            )
+            assert optimal_adaptive_value(inst) == reference_adaptive_value(inst)
+
+    def test_twelve_edge_matching(self):
+        rng = spawn_rng(5, "oracle-test")
+        inst = gen_bipartite_matching(4, 4, [2] * 4, [2] * 4, 0.75, rng)
+        assert inst.n == 12
+        assert optimal_adaptive_value(inst) == reference_adaptive_value(inst)
 
 
 class TestPolicyTree:
