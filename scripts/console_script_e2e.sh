@@ -1,0 +1,48 @@
+#!/usr/bin/env bash
+# End-to-end run of the installed `probe-kit` console script: the tests call
+# cli.main in process, this runs the entry point on PATH.
+#
+#   scripts/console_script_e2e.sh [WORK_DIR]
+#
+# WORK_DIR (default: a fresh temporary directory) receives the generated
+# instances and reports. The oracle reports a value at its cap (the |E| = 12
+# instance, whose extension tables are built with numpy) and null above it
+# (|E| = 14); the seed-24 verify exercises scipy's nnls in the exact
+# decomposition fallback; a generator asked for |E| = 21 exits 3 and writes
+# no file.
+set -euo pipefail
+
+d="${1:-$(mktemp -d)}"
+
+probe-kit generate --kind random --size 6 --k-in 1 --objective coverage \
+    --seed 3 --out "$d/inst.json"
+probe-kit run --instance "$d/inst.json" --trials 200 --cg-steps 20 \
+    --seed 0 --out "$d/report.json"
+probe-kit run --instance "$d/inst.json" --trials 200 --cg-steps 20 \
+    --seed 0 --format csv --out "$d/report.csv"
+probe-kit verify --instance "$d/inst.json"
+probe-kit generate --kind bipartite --size 3 --patience 1 --seed 3 \
+    --out "$d/matching.json"
+probe-kit verify --instance "$d/matching.json"
+probe-kit generate --kind bipartite --size 4 --patience 2 --edge-prob 0.9 \
+    --seed 24 --out "$d/near-integral.json"
+probe-kit verify --instance "$d/near-integral.json"
+probe-kit run --instance "$d/near-integral.json" --trials 200 --cg-steps 20 \
+    --seed 0 --out "$d/near-integral-report.json"
+probe-kit generate --kind random --size 12 --k-in 1 --k-out 1 --seed 3 \
+    --out "$d/dp-cap.json"
+probe-kit run --instance "$d/dp-cap.json" --trials 200 --cg-steps 20 \
+    --seed 0 --out "$d/dp-cap-report.json"
+python -c "import json, sys; d = sys.argv[1];
+a = json.load(open(d + '/dp-cap-report.json'));
+b = json.load(open(d + '/near-integral-report.json'));
+assert a['oracle_value'] is not None, a; assert b['oracle_value'] is None, b" "$d"
+
+code=0
+probe-kit generate --kind bipartite --size 5 --edge-prob 0.9 --seed 1 \
+    --out "$d/over-cap.json" || code=$?
+if [ "$code" -ne 3 ] || [ -e "$d/over-cap.json" ]; then
+    echo "over-cap generate: exit $code, expected 3 and no file" >&2
+    exit 1
+fi
+echo "console script end to end: ok"

@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence
 
 from .matroids import (
     Matroid,
+    check_ground_size,
     explicit_matroid,
     graphic_matroid,
     matroid_axiom_violations,
@@ -180,6 +181,7 @@ def gen_posted_pricing(
     prices = list(range(price_levels + 1))
     universe = [(i, c) for i in range(n_agents) for c in prices]
     n = len(universe)
+    check_ground_size(n)
     p = []
     for i, c in universe:
         pmf = valuation_pmfs[i]

@@ -2,22 +2,29 @@
 exchange mappings between independent sets.
 
 Elements are dense integer indices 0..n-1.  Internally sets are bitmasks; the
-public API accepts any iterable of element indices.  Rank tables over the full
-2^n lattice are cached per base matroid when n is small, which makes the
-oracles O(1) in the Monte Carlo hot loop.
+public API accepts any iterable of element indices.  Every base matroid
+has a rank table over the full 2^n lattice, built once and shared by its
+contraction views, which makes the oracles O(1) in the Monte Carlo hot loop.
+Ground sets are capped at GROUND_CAP elements so that table always exists.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import CapabilityError, InvariantViolation
 from .schema import read_field
 
-_TABLE_CAP = 16  # build full rank tables up to this ground-set size
+GROUND_CAP = 16  # every exact path enumerates the 2^n subsets of the ground set
+
+
+def check_ground_size(n: int) -> None:
+    """Raise CapabilityError when a ground set of n elements exceeds GROUND_CAP."""
+    if n > GROUND_CAP:
+        raise CapabilityError(f"ground set of {n} elements exceeds the cap of {GROUND_CAP}")
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -63,18 +70,16 @@ def _dependent_flats(rank_mask, n: int) -> list:
 
 
 class _Kind:
-    """Backend for one matroid family: rank over the uncontracted ground set."""
+    """Backend for one matroid family: rank over the uncontracted ground set.
+
+    Each kind checks its ground-set size against GROUND_CAP before any work
+    that grows with 2^n.
+    """
 
     n: int
 
     def rank_mask(self, mask: int) -> int:
-        table = self._table()
-        if table is not None:
-            return table[mask]
-        return self._rank_raw(mask)
-
-    def indep_mask(self, mask: int) -> bool:
-        return self.rank_mask(mask) == mask.bit_count()
+        return self._table()[mask]
 
     def _rank_raw(self, mask: int) -> int:
         raise NotImplementedError
@@ -87,9 +92,7 @@ class _Kind:
         """
         return _dependent_flats(self.rank_mask, self.n)
 
-    def _table(self) -> Optional[list]:
-        if self.n > _TABLE_CAP:
-            return None
+    def _table(self) -> list:
         cached = getattr(self, "_rank_table", None)
         if cached is None:
             cached = self._build_table()
@@ -106,6 +109,7 @@ class _Kind:
 
 class _UniformKind(_Kind):
     def __init__(self, n: int, k: int):
+        check_ground_size(n)
         if not 0 <= k:
             raise ValueError("uniform matroid needs k >= 0")
         self.n, self.k = n, k
@@ -125,6 +129,7 @@ class _UniformKind(_Kind):
 
 class _PartitionKind(_Kind):
     def __init__(self, n: int, parts: list, capacities: list):
+        check_ground_size(n)
         if len(parts) != len(capacities):
             raise ValueError("one capacity per part required")
         if any(not 0 <= e < n for e in itertools.chain.from_iterable(parts)):
@@ -176,6 +181,7 @@ class _GraphicKind(_Kind):
     """Ground set = edge list; independent sets are forests."""
 
     def __init__(self, n_vertices: int, edges: list):
+        check_ground_size(len(edges))
         for u, v in edges:
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
                 raise ValueError("edge endpoint outside vertex range")
@@ -218,6 +224,7 @@ class _ExplicitKind(_Kind):
     """Independence family stored verbatim (downward closure is enforced)."""
 
     def __init__(self, n: int, independent_sets: Iterable[Iterable[int]]):
+        check_ground_size(n)
         masks = set()
         for s in independent_sets:
             m = mask_of(s)
@@ -248,9 +255,6 @@ class _ExplicitKind(_Kind):
                     best = c
         return best
 
-    def indep_mask(self, mask: int) -> bool:
-        return mask in self.indep_masks
-
     def to_json(self):
         return {
             "kind": "explicit",
@@ -272,8 +276,8 @@ class Matroid:
         self._kind = kind
         self._cmask = contracted_mask
         self._csize = contracted_mask.bit_count()
-        self._tbl = kind._table()  # None above the table cap
-        if contracted_mask and not kind.indep_mask(contracted_mask):
+        self._tbl = kind._table()
+        if self._tbl[contracted_mask] != self._csize:
             raise ValueError("contracted set must be independent in the base matroid")
 
     # -- public set-based API ------------------------------------------------
@@ -335,24 +339,16 @@ class Matroid:
     # -- mask-based fast path -------------------------------------------------
 
     def rank_mask(self, mask: int) -> int:
-        tbl = self._tbl
-        if tbl is not None:
-            return tbl[mask | self._cmask] - self._csize
-        return self._kind.rank_mask(mask | self._cmask) - self._csize
+        return self._tbl[mask | self._cmask] - self._csize
 
     def indep_mask(self, mask: int) -> bool:
         full = mask | self._cmask
-        tbl = self._tbl
-        if tbl is not None:
-            return tbl[full] == full.bit_count()
-        return self._kind.indep_mask(full)
+        return self._tbl[full] == full.bit_count()
 
     def extension_masks(self) -> np.ndarray:
         """For every mask A, the mask of the elements e not in A with A + e
         independent (as `indep_mask` judges it), from the rank table in n
-        vector passes; needs n <= _TABLE_CAP."""
-        if self._tbl is None:
-            raise ValueError(f"extension masks need at most {_TABLE_CAP} elements")
+        vector passes."""
         n = self._kind.n
         masks = np.arange(1 << n, dtype=np.int64)
         full = masks | self._cmask

@@ -7,11 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Sequence
 
-from .errors import CapabilityError
-from .matroids import Matroid, bits, mask_of
+from .matroids import Matroid, bits, check_ground_size, mask_of
 from .schema import read_field
-
-EXACT_CAP = 20  # exact multilinear enumeration limit
 
 
 @dataclass(frozen=True)
@@ -36,9 +33,8 @@ class Objective:
         return self.value_mask(mask)
 
     def value_table(self) -> List[float]:
-        """All 2^n values, cached; the exact-mode workhorse for small n."""
-        if self.n > EXACT_CAP:
-            raise CapabilityError(f"value table limited to {EXACT_CAP} elements")
+        """All 2^n values, cached; the exact-mode workhorse (n <= GROUND_CAP)."""
+        check_ground_size(self.n)
         cached = getattr(self, "_table", None)
         if cached is None:
             cached = [self.value_mask(m) for m in range(1 << self.n)]
@@ -186,8 +182,7 @@ def _enumerate_multilinear(value: Callable[[int], float], y: Sequence[float]) ->
 
 def multilinear_exact(f: Objective, y: Sequence[float]) -> MultilinearValue:
     """F(y) by exact enumeration over the fractional coordinates of y."""
-    if f.n > EXACT_CAP:
-        raise CapabilityError(f"exact multilinear limited to {EXACT_CAP} elements")
+    check_ground_size(f.n)
     if len(y) != f.n:
         raise ValueError("dimension mismatch")
     return MultilinearValue(_enumerate_multilinear(f.value_mask, y), 0.0)

@@ -6,7 +6,8 @@ A fractional point is a length-n sequence of reals in [0,1] (coordinates of
 contracted elements must be 0).  A decomposition is a list of
 (weight, bitmask) terms with weights summing to 1.  Membership and peeling
 enumerate subsets of the support, which is the intended exact mode at desk
-scale.
+scale: every matroid has a rank table (its ground set is at most GROUND_CAP
+elements), so each rank query is one table lookup.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvariantViolation
-from .matroids import _TABLE_CAP, Matroid, bits, mask_of
+from .matroids import Matroid, bits, mask_of
 
 EPS = 1e-9
 MAX_PEEL_FACTOR = 6  # peel iterations allowed per support element before LP fallback
@@ -155,7 +155,6 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
     tbl = m._tbl
     cmask = m._cmask
     csize = m._csize
-    rank_mask = m.rank_mask
     for _ in range(max_iters):
         if not support:
             break
@@ -164,10 +163,7 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
         beta = min(w_rem, min(residual[i] for i in bits(bmask)))
         sub = support
         while sub:
-            if tbl is not None:
-                ra = tbl[sub | cmask] - csize
-            else:
-                ra = rank_mask(sub)
+            ra = tbl[sub | cmask] - csize
             inter = (sub & bmask).bit_count()
             if ra > inter:
                 xa = 0.0
@@ -217,10 +213,6 @@ def _decompose_lp(m: Matroid, x: Sequence[float]) -> MaskTerms:
 
     n = m.ground_size
     support = _support_mask(x)
-    if support.bit_count() > _TABLE_CAP:
-        raise InvariantViolation(
-            f"exact decomposition fallback limited to {_TABLE_CAP} support elements"
-        )
     columns = [0]
     sub = support
     while sub:

@@ -11,13 +11,11 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from .errors import CapabilityError
 from .instances import ProbingInstance
 from .matroids import bits
 from .objectives import multilinear_value_from_table
 from .polytope import in_polytope
 
-LP_ENUM_CAP = 16  # constraint-enumeration limit on |E|
 FEAS_TOL = 1e-7
 SHRINK = 1.0 - 1e-9  # pull solver output strictly inside the polytope
 TIGHT_TOL = 1e-9  # slack under which a constraint counts as tight at a vertex
@@ -68,8 +66,6 @@ def _polytope_rows(inst: ProbingInstance) -> Tuple[np.ndarray, np.ndarray]:
     omitted are implied by these and 0 <= x <= 1, so the feasible region is
     the intersection of the full rank-constraint polytopes.
     """
-    if inst.n > LP_ENUM_CAP:
-        raise CapabilityError(f"constraint enumeration limited to {LP_ENUM_CAP} elements")
     n = inst.n
     ones = np.ones(n)
     p = np.asarray(inst.p, dtype=float)

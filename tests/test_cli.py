@@ -11,6 +11,11 @@ import probe_kit.relaxation
 from probe_kit.cli import main
 from probe_kit.errors import InvariantViolation
 from probe_kit.instances import ProbingInstance
+from probe_kit.matroids import Matroid
+
+
+def _over_cap(n):
+    return f"capability exceeded: ground set of {n} elements exceeds the cap of 16\n"
 
 
 def _run(capsys, *argv):
@@ -88,6 +93,30 @@ class TestGenerate:
         )
         assert code == 1
         assert f"Invalid value for '{option}'" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            (["--kind", "bipartite", "--size", "5", "--edge-prob", "0.9", "--seed", "1"], 21),
+            (["--kind", "posted-pricing", "--size", "8", "--seed", "1"], 24),
+            (["--kind", "posted-pricing", "--size", "12", "--price-levels", "3"], 48),
+        ],
+        ids=["bipartite-5", "posted-pricing-8", "posted-pricing-12"],
+    )
+    def test_ground_set_above_cap_is_capability_error(
+        self, tmp_path, capsys, monkeypatch, argv, n
+    ):
+        # posted pricing must fail before it enumerates the 2^agents agent sets
+        def enumerated(self, s):
+            raise AssertionError("agent sets enumerated above the cap")
+
+        monkeypatch.setattr(Matroid, "is_independent", enumerated)
+        out = tmp_path / "x.json"
+        code, stdout, stderr = _run(capsys, "generate", *argv, "--out", str(out))
+        assert code == 3
+        assert stderr == _over_cap(n)
+        assert stdout == ""
         assert not out.exists()
 
 
@@ -257,6 +286,33 @@ class TestRun:
         code, _, stderr = _run(capsys, command, "--instance", str(path))
         assert code == 1
         assert f"error: ground.size: expected a value >= 1, got {size}" in stderr
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_ground_set_above_cap_is_capability_error(self, tmp_path, capsys, command):
+        doc = {
+            "ground": {"size": 17},
+            "p": [0.5] * 17,
+            "objective": {"kind": "linear", "weights": [1.0] * 17},
+            "inner": [],
+            "outer": [{"kind": "uniform", "n": 17, "k": 3}],
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, stderr = _run(capsys, command, "--instance", str(path))
+        assert code == 3
+        assert stderr == _over_cap(17)
+        assert stdout == ""
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_huge_matroid_n_is_capability_error(self, instance_file, capsys, command):
+        # the size is checked before the partition kind builds its 2^n - 1 mask
+        doc = json.loads(instance_file.read_text())
+        doc["outer"][0] = {"kind": "partition", "n": 10**12, "parts": [[0]], "capacities": [1]}
+        instance_file.write_text(json.dumps(doc))
+        code, stdout, stderr = _run(capsys, command, "--instance", str(instance_file))
+        assert code == 3
+        assert stderr == _over_cap(10**12)
+        assert stdout == ""
 
     def test_env_var_override(self, instance_file, capsys, monkeypatch):
         monkeypatch.setenv("PROBE_KIT_RUN_TRIALS", "123")

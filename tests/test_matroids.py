@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probe_kit.errors import CapabilityError
 from probe_kit.matroids import (
+    GROUND_CAP,
     Matroid,
     explicit_matroid,
     free_matroid,
@@ -261,8 +263,46 @@ class TestExtensionMasks:
             assert int(ext[a]) == expected, (a, int(ext[a]), expected)
 
     def test_above_table_cap_rejected(self):
-        with pytest.raises(ValueError, match="extension masks"):
-            uniform_matroid(17, 2).extension_masks()
+        # no matroid above the ground cap is built, so none lacks a table
+        with pytest.raises(CapabilityError, match="ground set of 17 elements"):
+            uniform_matroid(17, 2)
+
+
+class TestGroundCap:
+    """Every kind checks its size against GROUND_CAP before any 2^n work."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "uniform", "n": 17, "k": 2},
+            {"kind": "partition", "n": 17, "parts": [[0, 1]], "capacities": [1]},
+            {"kind": "graphic", "n_vertices": 2, "edges": [[0, 1]] * 17},
+            {"kind": "explicit", "n": 17, "independent_sets": [[], [0]]},
+        ],
+        ids=lambda d: d["kind"],
+    )
+    def test_above_cap_rejected(self, doc):
+        with pytest.raises(CapabilityError) as info:
+            Matroid.from_json(doc)
+        assert str(info.value) == "ground set of 17 elements exceeds the cap of 16"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "uniform", "n": 10**12, "k": 1},
+            {"kind": "partition", "n": 10**12, "parts": [[0]], "capacities": [1]},
+            {"kind": "explicit", "n": 10**12, "independent_sets": [[], [0]]},
+        ],
+        ids=lambda d: d["kind"],
+    )
+    def test_huge_n_rejected_before_allocation(self, doc):
+        with pytest.raises(CapabilityError, match=f"ground set of {10**12} elements"):
+            Matroid.from_json(doc)
+
+    def test_at_cap_has_a_table(self):
+        m = uniform_matroid(GROUND_CAP, 3)
+        assert m.rank_mask((1 << GROUND_CAP) - 1) == 3
+        assert m.contract(0).full_rank() == 2
 
 
 class TestSerialization:

@@ -78,6 +78,13 @@ class TestMultilinearExact:
         f = CoverageObjective([[0], [0]], [1.0])
         assert multilinear_exact(f, [0.5, 0.5]).value == pytest.approx(0.75)
 
+    def test_above_ground_cap_rejected(self):
+        f = LinearObjective([1.0] * 17)
+        with pytest.raises(CapabilityError, match="ground set of 17 elements"):
+            multilinear_exact(f, [0.5] * 17)
+        with pytest.raises(CapabilityError, match="ground set of 17 elements"):
+            f.value_table()
+
     def test_argument_outside_cube_rejected(self):
         f = LinearObjective([1.0])
         with pytest.raises(ValueError):

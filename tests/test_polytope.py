@@ -12,7 +12,7 @@ from probe_kit.matroids import (
     partition_matroid,
     uniform_matroid,
 )
-from probe_kit.errors import InvariantViolation
+from probe_kit.errors import CapabilityError
 from probe_kit.polytope import (
     _decompose_lp,
     decompose_masks,
@@ -92,9 +92,10 @@ class TestDecompose:
         assert abs(sum(w for w, _ in terms) - 1.0) <= 1e-9
         assert all(m.indep_mask(mask) for _, mask in terms)
 
-    def test_lp_fallback_rejects_support_above_cap(self):
-        with pytest.raises(InvariantViolation):
-            _decompose_lp(free_matroid(17), [0.5] * 17)
+    def test_support_above_ground_cap_rejected(self):
+        # the exact fallback never sees such a support: the matroid is not built
+        with pytest.raises(CapabilityError, match="ground set of 17 elements"):
+            free_matroid(17)
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 10_000))

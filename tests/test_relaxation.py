@@ -103,15 +103,15 @@ class TestProbingLp:
             build_probing_lp(inst)
 
     def test_size_cap(self):
-        inst = ProbingInstance(
-            n=17,
-            p=[0.5] * 17,
-            objective=LinearObjective([1.0] * 17),
-            inner=[],
-            outer=[uniform_matroid(17, 3)],
-        )
-        with pytest.raises(CapabilityError):
-            build_probing_lp(inst)
+        # a 17-element instance fails where it is built, before any LP rows
+        with pytest.raises(CapabilityError, match="ground set of 17 elements"):
+            ProbingInstance(
+                n=17,
+                p=[0.5] * 17,
+                objective=LinearObjective([1.0] * 17),
+                inner=[],
+                outer=[uniform_matroid(17, 3)],
+            )
 
     def test_lp_dominates_adaptive_optimum(self):
         for seed in range(15):
