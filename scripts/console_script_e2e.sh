@@ -8,8 +8,9 @@
 # instances and reports. The oracle reports a value at its cap (the |E| = 12
 # instance, whose extension tables are built with numpy) and null above it
 # (|E| = 14); the seed-24 verify exercises scipy's nnls in the exact
-# decomposition fallback; a generator asked for |E| = 21 exits 3 and writes
-# no file.
+# decomposition fallback; the posted-pricing instance builds a 16-element
+# explicit rank table, at the cap, with numpy; a generator asked for |E| = 21
+# exits 3 and writes no file.
 set -euo pipefail
 
 d="${1:-$(mktemp -d)}"
@@ -33,6 +34,11 @@ probe-kit generate --kind random --size 12 --k-in 1 --k-out 1 --seed 3 \
     --out "$d/dp-cap.json"
 probe-kit run --instance "$d/dp-cap.json" --trials 200 --cg-steps 20 \
     --seed 0 --out "$d/dp-cap-report.json"
+probe-kit generate --kind posted-pricing --size 4 --price-levels 3 --seed 1 \
+    --out "$d/pricing.json"
+probe-kit verify --instance "$d/pricing.json"
+probe-kit run --instance "$d/pricing.json" --trials 200 --seed 0 \
+    --out "$d/pricing-report.json"
 python -c "import json, sys; d = sys.argv[1];
 a = json.load(open(d + '/dp-cap-report.json'));
 b = json.load(open(d + '/near-integral-report.json'));

@@ -17,7 +17,7 @@ import sys
 import click
 
 from .errors import CapabilityError, VerificationError
-from .harness import ExperimentConfig, run_experiment
+from .harness import CSV_FIELDS, ExperimentConfig, run_experiment
 from .instances import (
     ProbingInstance,
     gen_bipartite_matching,
@@ -95,7 +95,7 @@ def cmd_run(instance, trials, seed, cg_steps, out, fmt, jobs):
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(report.CSV_FIELDS)
+        writer.writerow(CSV_FIELDS)
         writer.writerow(report.csv_row())
         text = buf.getvalue()
     if out:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, List, Optional, Tuple
 
 from .engine import (
@@ -88,37 +88,17 @@ class ExperimentReport:
     instance_metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "relaxation_value": self.relaxation_value,
-            "mc_mean": self.mc_mean,
-            "mc_stderr": self.mc_stderr,
-            "trials": self.trials,
-            "seed": self.seed,
-            "steps_mean": self.steps_mean,
-            "oracle_value": self.oracle_value,
-            "ratio": self.ratio,
-            "target_ratio": self.target_ratio,
-            "config": self.config,
-            "instance_metadata": self.instance_metadata,
-        }
-
-    CSV_FIELDS = [
-        "mode",
-        "relaxation_value",
-        "mc_mean",
-        "mc_stderr",
-        "trials",
-        "seed",
-        "steps_mean",
-        "oracle_value",
-        "ratio",
-        "target_ratio",
-    ]
+        return asdict(self)
 
     def csv_row(self) -> List[str]:
         d = self.to_dict()
-        return ["" if d[k] is None else repr(d[k]) for k in self.CSV_FIELDS]
+        return ["" if d[k] is None else repr(d[k]) for k in CSV_FIELDS]
+
+
+# the CSV report's columns: every report field but the two nested dicts
+CSV_FIELDS = [
+    f.name for f in fields(ExperimentReport) if f.name not in ("config", "instance_metadata")
+]
 
 
 def theoretical_ratio(inst: ProbingInstance) -> float:

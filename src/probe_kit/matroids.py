@@ -1,11 +1,13 @@
-"""Matroid representations, independence/rank oracles, contraction views, and
-exchange mappings between independent sets.
+"""Matroids as rank tables, contraction views, and exchange mappings between
+independent sets.
 
 Elements are dense integer indices 0..n-1.  Internally sets are bitmasks; the
-public API accepts any iterable of element indices.  Every base matroid
-has a rank table over the full 2^n lattice, built once and shared by its
-contraction views, which makes the oracles O(1) in the Monte Carlo hot loop.
-Ground sets are capped at GROUND_CAP elements so that table always exists.
+public API accepts any iterable of element indices.  A matroid is its rank
+table over the full 2^n lattice, built by one constructor per kind (uniform,
+partition, graphic, explicit) that also lists the kind's polytope rows and
+records its JSON form.  Contraction views share the table, which makes the
+oracles O(1) in the Monte Carlo hot loop.  Ground sets are capped at
+GROUND_CAP elements so that table always exists.
 """
 
 from __future__ import annotations
@@ -69,222 +71,33 @@ def _dependent_flats(rank_mask, n: int) -> list:
     return flats
 
 
-class _Kind:
-    """Backend for one matroid family: rank over the uncontracted ground set.
-
-    Each kind checks its ground-set size against GROUND_CAP before any work
-    that grows with 2^n.
-    """
-
-    n: int
-
-    def rank_mask(self, mask: int) -> int:
-        return self._table()[mask]
-
-    def _rank_raw(self, mask: int) -> int:
-        raise NotImplementedError
-
-    def polytope_row_masks(self) -> list:
-        """Masks A whose rank rows x(A) <= r(A), with 0 <= x <= 1, cut out P(M).
-
-        By default these are the dependent flats; kinds with a known polytope
-        list fewer rows that imply the rest.
-        """
-        return _dependent_flats(self.rank_mask, self.n)
-
-    def _table(self) -> list:
-        cached = getattr(self, "_rank_table", None)
-        if cached is None:
-            cached = self._build_table()
-            self._rank_table = cached
-        return cached
-
-    def _build_table(self) -> list:
-        """Rank of every mask, as a list (the hot loop indexes it)."""
-        return [self._rank_raw(m) for m in range(1 << self.n)]
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-
-class _UniformKind(_Kind):
-    def __init__(self, n: int, k: int):
-        check_ground_size(n)
-        if not 0 <= k:
-            raise ValueError("uniform matroid needs k >= 0")
-        self.n, self.k = n, k
-
-    def _rank_raw(self, mask: int) -> int:
-        return min(mask.bit_count(), self.k)
-
-    def _build_table(self) -> list:
-        return np.minimum(_popcounts(self.n), self.k).tolist()
-
-    def polytope_row_masks(self) -> list:
-        return [(1 << self.n) - 1] if self.k < self.n else []
-
-    def to_json(self):
-        return {"kind": "uniform", "n": self.n, "k": self.k}
-
-
-class _PartitionKind(_Kind):
-    def __init__(self, n: int, parts: list, capacities: list):
-        check_ground_size(n)
-        if len(parts) != len(capacities):
-            raise ValueError("one capacity per part required")
-        if any(not 0 <= e < n for e in itertools.chain.from_iterable(parts)):
-            raise ValueError("part element outside the ground set")
-        if any(cap < 0 for cap in capacities):
-            raise ValueError("partition capacities must be >= 0")
-        seen = mask_of(itertools.chain.from_iterable(parts))
-        total = sum(len(p) for p in parts)
-        if seen.bit_count() != total:
-            raise ValueError("parts must be disjoint")
-        self.n = n
-        self.parts = [sorted(p) for p in parts]
-        self.capacities = list(capacities)
-        self._part_masks = [mask_of(p) for p in parts]
-        # elements outside every part are free (capacity = their own count)
-        self._free_mask = ((1 << n) - 1) & ~seen
-
-    def _rank_raw(self, mask: int) -> int:
-        r = (mask & self._free_mask).bit_count()
-        for pm, cap in zip(self._part_masks, self.capacities):
-            r += min((mask & pm).bit_count(), cap)
-        return r
-
-    def _build_table(self) -> list:
-        counts = _popcounts(self.n)
-        masks = np.arange(1 << self.n, dtype=np.int64)
-        table = counts[masks & self._free_mask]
-        for pm, cap in zip(self._part_masks, self.capacities):
-            table += np.minimum(counts[masks & pm], cap)
-        return table.tolist()
-
-    def polytope_row_masks(self) -> list:
-        # a flat's row is the sum of the rows of the dependent parts it contains
-        # and of unit bounds on its other elements
-        return [
-            pm for pm, cap in zip(self._part_masks, self.capacities) if cap < pm.bit_count()
-        ]
-
-    def to_json(self):
-        return {
-            "kind": "partition",
-            "n": self.n,
-            "parts": self.parts,
-            "capacities": self.capacities,
-        }
-
-
-class _GraphicKind(_Kind):
-    """Ground set = edge list; independent sets are forests."""
-
-    def __init__(self, n_vertices: int, edges: list):
-        check_ground_size(len(edges))
-        for u, v in edges:
-            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-                raise ValueError("edge endpoint outside vertex range")
-        self.n = len(edges)
-        self.n_vertices = n_vertices
-        self.edges = [tuple(e) for e in edges]
-
-    def _rank_raw(self, mask: int) -> int:
-        # rank of an edge set = |touched vertices| - |components|, via union-find
-        parent = {}
-
-        def find(v):
-            root = v
-            while parent[root] != root:
-                root = parent[root]
-            while parent[v] != root:
-                parent[v], v = root, parent[v]
-            return root
-
-        r = 0
-        for i in bits(mask):
-            u, v = self.edges[i]
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                r += 1
-        return r
-
-    def to_json(self):
-        return {
-            "kind": "graphic",
-            "n_vertices": self.n_vertices,
-            "edges": [list(e) for e in self.edges],
-        }
-
-
-class _ExplicitKind(_Kind):
-    """Independence family stored verbatim (downward closure is enforced)."""
-
-    def __init__(self, n: int, independent_sets: Iterable[Iterable[int]]):
-        check_ground_size(n)
-        masks = set()
-        for s in independent_sets:
-            m = mask_of(s)
-            if m >> n:
-                raise ValueError("independent set outside ground set")
-            masks.add(m)
-        if 0 not in masks:
-            raise ValueError("explicit matroid must contain the empty set")
-        # close downward so rank queries behave even on sloppy input
-        stack = list(masks)
-        while stack:
-            m = stack.pop()
-            for b in bits(m):
-                sub = m & ~(1 << b)
-                if sub not in masks:
-                    masks.add(sub)
-                    stack.append(sub)
-        self.n = n
-        self.indep_masks = masks
-        self._sorted = sorted(masks)
-
-    def _rank_raw(self, mask: int) -> int:
-        best = 0
-        for m in self.indep_masks:
-            if m & ~mask == 0:
-                c = m.bit_count()
-                if c > best:
-                    best = c
-        return best
-
-    def to_json(self):
-        return {
-            "kind": "explicit",
-            "n": self.n,
-            "independent_sets": [sorted(bits(m)) for m in self._sorted],
-        }
-
-
 class Matroid:
-    """A matroid over ground set 0..n-1, possibly with elements contracted.
+    """A matroid over ground set 0..n-1 as its rank table, possibly with
+    elements contracted.
 
-    Contraction is a view: the base rank oracle is shared, and rank in M/C is
-    r(S | C) - |C| for the (independent) contracted set C.
+    `spec` is the matroid's JSON form, `table` the rank of every mask over the
+    2^n lattice, and `rows` the masks whose rank rows cut out its polytope
+    (None: the dependent flats).  Contraction is a view that shares the table:
+    rank in M/C is r(S | C) - |C| for the (independent) contracted set C.
     """
 
-    __slots__ = ("_kind", "_cmask", "_csize", "_tbl")
+    __slots__ = ("_spec", "_tbl", "_rows", "_n", "_cmask", "_csize")
 
-    def __init__(self, kind: _Kind, contracted_mask: int = 0):
-        self._kind = kind
+    def __init__(self, spec: dict, table: list, rows=None, contracted_mask: int = 0):
+        self._spec = spec
+        self._tbl = table
+        self._rows = rows
+        self._n = len(table).bit_length() - 1
         self._cmask = contracted_mask
         self._csize = contracted_mask.bit_count()
-        self._tbl = kind._table()
-        if self._tbl[contracted_mask] != self._csize:
+        if table[contracted_mask] != self._csize:
             raise ValueError("contracted set must be independent in the base matroid")
 
     # -- public set-based API ------------------------------------------------
 
     @property
     def ground_size(self) -> int:
-        return self._kind.n
+        return self._n
 
     @property
     def contracted(self) -> frozenset:
@@ -293,14 +106,14 @@ class Matroid:
     @property
     def ground(self) -> frozenset:
         """Effective ground set (contracted elements removed)."""
-        return set_of(((1 << self._kind.n) - 1) & ~self._cmask)
+        return set_of(((1 << self._n) - 1) & ~self._cmask)
 
     @property
     def kind_name(self) -> str:
-        return self._kind.to_json()["kind"]
+        return self._spec["kind"]
 
     def _check_subset(self, mask: int):
-        if mask >> self._kind.n or mask & self._cmask:
+        if mask >> self._n or mask & self._cmask:
             raise ValueError("element outside the effective ground set")
 
     def is_independent(self, s: Iterable[int]) -> bool:
@@ -314,14 +127,14 @@ class Matroid:
         return self.rank_mask(mask)
 
     def full_rank(self) -> int:
-        return self.rank_mask(((1 << self._kind.n) - 1) & ~self._cmask)
+        return self.rank_mask(((1 << self._n) - 1) & ~self._cmask)
 
     def contract(self, e: int) -> "Matroid":
         bit = 1 << e
         self._check_subset(bit)
         if not self.indep_mask(bit):
             raise ValueError(f"cannot contract loop element {e}")
-        return Matroid(self._kind, self._cmask | bit)
+        return Matroid(self._spec, self._tbl, self._rows, self._cmask | bit)
 
     def max_independent_subset(self, order: Iterable[int]) -> int:
         """Greedy: scan `order`, keep an element if it stays independent.
@@ -349,7 +162,7 @@ class Matroid:
         """For every mask A, the mask of the elements e not in A with A + e
         independent (as `indep_mask` judges it), from the rank table in n
         vector passes."""
-        n = self._kind.n
+        n = self._n
         masks = np.arange(1 << n, dtype=np.int64)
         full = masks | self._cmask
         indep = np.asarray(self._tbl)[full] == _popcounts(n)[full]
@@ -361,17 +174,18 @@ class Matroid:
     def polytope_row_masks(self) -> list:
         """Masks A whose rank rows x(A) <= r(A), with 0 <= x <= 1, cut out P(M).
 
-        Contracted elements count as loops, so they fall into every row's
-        closure and x must vanish on them.
+        These are the dependent flats, unless the kind listed fewer rows that
+        imply the rest.  Contracted elements count as loops, so they fall into
+        every row's closure and x must vanish on them.
         """
-        if self._cmask:
-            return _dependent_flats(self.rank_mask, self._kind.n)
-        return self._kind.polytope_row_masks()
+        if self._cmask or self._rows is None:
+            return _dependent_flats(self.rank_mask, self._n)
+        return list(self._rows)
 
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        d = self._kind.to_json()
+        d = dict(self._spec)
         if self._cmask:
             d["contracted"] = sorted(bits(self._cmask))
         return d
@@ -412,23 +226,121 @@ class Matroid:
 
     def __repr__(self):
         extra = f", contracted={sorted(bits(self._cmask))}" if self._cmask else ""
-        return f"Matroid({self._kind.to_json()}{extra})"
+        return f"Matroid({self._spec}{extra})"
+
+
+# ---------------------------------------------------------------------------
+# Constructors: each checks the ground-set size before any 2^n work, then
+# builds the rank table, lists the polytope rows and records the JSON form.
+# ---------------------------------------------------------------------------
 
 
 def uniform_matroid(n: int, k: int) -> Matroid:
-    return Matroid(_UniformKind(n, k))
+    check_ground_size(n)
+    if not 0 <= k:
+        raise ValueError("uniform matroid needs k >= 0")
+    table = np.minimum(_popcounts(n), k).tolist()
+    rows = [(1 << n) - 1] if k < n else []
+    return Matroid({"kind": "uniform", "n": n, "k": k}, table, rows)
 
 
 def partition_matroid(n: int, parts, capacities) -> Matroid:
-    return Matroid(_PartitionKind(n, parts, capacities))
+    check_ground_size(n)
+    if len(parts) != len(capacities):
+        raise ValueError("one capacity per part required")
+    if any(not 0 <= e < n for e in itertools.chain.from_iterable(parts)):
+        raise ValueError("part element outside the ground set")
+    if any(cap < 0 for cap in capacities):
+        raise ValueError("partition capacities must be >= 0")
+    seen = mask_of(itertools.chain.from_iterable(parts))
+    if seen.bit_count() != sum(len(p) for p in parts):
+        raise ValueError("parts must be disjoint")
+    part_masks = [mask_of(p) for p in parts]
+    counts = _popcounts(n)
+    masks = np.arange(1 << n, dtype=np.int64)
+    # elements outside every part are free (capacity = their own count)
+    table = counts[masks & ~seen]
+    for pm, cap in zip(part_masks, capacities):
+        table += np.minimum(counts[masks & pm], cap)
+    # a flat's row is the sum of the rows of the dependent parts it contains
+    # and of unit bounds on its other elements
+    rows = [pm for pm, cap in zip(part_masks, capacities) if cap < pm.bit_count()]
+    spec = {
+        "kind": "partition",
+        "n": n,
+        "parts": [sorted(p) for p in parts],
+        "capacities": list(capacities),
+    }
+    return Matroid(spec, table.tolist(), rows)
+
+
+def _forest_rank_table(edges: list) -> list:
+    """Rank of every edge set: |touched vertices| - |components|, by union-find."""
+
+    def find(parent, v):
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    table = []
+    for mask in range(1 << len(edges)):
+        parent = {}
+        r = 0
+        for i in bits(mask):
+            u, v = edges[i]
+            parent.setdefault(u, u)
+            parent.setdefault(v, v)
+            ru, rv = find(parent, u), find(parent, v)
+            if ru != rv:
+                parent[ru] = rv
+                r += 1
+        table.append(r)
+    return table
 
 
 def graphic_matroid(n_vertices: int, edges) -> Matroid:
-    return Matroid(_GraphicKind(n_vertices, edges))
+    """Ground set = edge list; independent sets are forests."""
+    check_ground_size(len(edges))
+    edges = [tuple(e) for e in edges]
+    for u, v in edges:
+        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+            raise ValueError("edge endpoint outside vertex range")
+    spec = {"kind": "graphic", "n_vertices": n_vertices, "edges": [list(e) for e in edges]}
+    return Matroid(spec, _forest_rank_table(edges))
 
 
 def explicit_matroid(n: int, independent_sets) -> Matroid:
-    return Matroid(_ExplicitKind(n, independent_sets))
+    """Independence family given by its members; its downward closure is
+    taken, so rank queries behave even on sloppy input."""
+    check_ground_size(n)
+    members = set()
+    for s in independent_sets:
+        m = mask_of(s)
+        if m >> n:
+            raise ValueError("independent set outside ground set")
+        members.add(m)
+    if 0 not in members:
+        raise ValueError("explicit matroid must contain the empty set")
+    closed = np.zeros(1 << n, dtype=bool)
+    closed[list(members)] = True
+    for b in range(n):  # A - b joins the family with A
+        pairs = closed.reshape(-1, 2, 1 << b)
+        pairs[:, 0] |= pairs[:, 1]
+    # r(A) is the largest |I| over members I inside A: seed every member with
+    # |I|, then pass the max up from A - b to A, one element at a time
+    table = np.where(closed, _popcounts(n), 0)
+    for b in range(n):
+        pairs = table.reshape(-1, 2, 1 << b)
+        np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    spec = {
+        "kind": "explicit",
+        "n": n,
+        "independent_sets": [list(bits(m)) for m in np.flatnonzero(closed).tolist()],
+    }
+    return Matroid(spec, table.tolist())
 
 
 def free_matroid(n: int) -> Matroid:

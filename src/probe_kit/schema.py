@@ -1,11 +1,14 @@
 """Checked reads from parsed instance files.
 
-A missing, mistyped or out-of-range field raises ValueError naming its path
-in the document, such as ``p``, ``ground.size`` or ``outer[0].capacities[1]``,
-so a malformed file fails with a usage error instead of a traceback.
+A missing, mistyped, non-finite or out-of-range field raises ValueError
+naming its path in the document, such as ``p``, ``ground.size`` or
+``outer[0].capacities[1]``, so a malformed file fails with a usage error
+instead of a traceback.  (Python's json parses NaN and Infinity.)
 """
 
 from __future__ import annotations
+
+import math
 
 
 def _is(value, kind) -> bool:
@@ -22,6 +25,8 @@ def _check(value, kinds, where: str, lo, hi):
     if len(kinds) > 1:
         for i, item in enumerate(value):
             _check(item, kinds[1:], f"{where}[{i}]", lo, hi)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where}: expected a finite number, got {value}")
     elif (lo is not None and value < lo) or (hi is not None and value > hi):
         bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise ValueError(f"{where}: expected a value {bounds}, got {value}")

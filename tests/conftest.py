@@ -147,6 +147,55 @@ def simulate_value(inst: ProbingInstance, x0, rng: random.Random) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Per-mask rank formulas, the references for the matroid constructors' tables
+# ---------------------------------------------------------------------------
+
+
+def uniform_rank_loop(n: int, k: int) -> list:
+    return [min(mask.bit_count(), k) for mask in range(1 << n)]
+
+
+def partition_rank_loop(n: int, parts, capacities) -> list:
+    """Free elements (in no part) count fully, each part up to its capacity."""
+    part_masks = [mask_of(p) for p in parts]
+    free = ((1 << n) - 1) & ~mask_of(itertools.chain.from_iterable(parts))
+    table = []
+    for mask in range(1 << n):
+        r = (mask & free).bit_count()
+        for pm, cap in zip(part_masks, capacities):
+            r += min((mask & pm).bit_count(), cap)
+        table.append(r)
+    return table
+
+
+def downward_closure(independent_sets) -> set:
+    masks = {mask_of(s) for s in independent_sets}
+    stack = list(masks)
+    while stack:
+        m = stack.pop()
+        for b in bits(m):
+            sub = m & ~(1 << b)
+            if sub not in masks:
+                masks.add(sub)
+                stack.append(sub)
+    return masks
+
+
+def explicit_rank_scan(n: int, independent_sets) -> list:
+    """Rank of every mask A as the largest |I| over the members I of the
+    downward-closed family that lie inside A, by a scan of the family."""
+    family = downward_closure(independent_sets)
+    table = []
+    for mask in range(1 << n):
+        best = 0
+        for m in family:
+            if m & ~mask == 0:
+                best = max(best, m.bit_count())
+        table.append(best)
+    return table
+
+
+# ---------------------------------------------------------------------------
 # Brute-force oracles
 # ---------------------------------------------------------------------------
 

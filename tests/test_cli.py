@@ -137,8 +137,11 @@ class TestRun:
         )
         assert code == 0
         report = json.loads(stdout)
-        for key in ("mode", "mc_mean", "mc_stderr", "oracle_value", "ratio", "target_ratio"):
-            assert key in report
+        assert set(report) == {
+            "mode", "relaxation_value", "mc_mean", "mc_stderr", "trials", "seed",
+            "steps_mean", "oracle_value", "ratio", "target_ratio", "config",
+            "instance_metadata",
+        }
         assert report["trials"] == 500
 
     @pytest.mark.parametrize("objective, mode", [("linear", "linear"), ("coverage", "submodular")])
@@ -190,7 +193,10 @@ class TestRun:
         assert code == 0
         lines = stdout.strip().splitlines()
         assert len(lines) == 2
-        assert "mc_mean" in lines[0]
+        assert lines[0] == (
+            "mode,relaxation_value,mc_mean,mc_stderr,trials,seed,steps_mean,"
+            "oracle_value,ratio,target_ratio"
+        )
 
     def test_missing_instance_is_usage_error(self, capsys):
         code, _, _ = _run(capsys, "run", "--instance", "/no/such/file.json")
@@ -269,6 +275,32 @@ class TestRun:
         code, _, stderr = _run(capsys, command, "--instance", str(instance_file))
         assert code == 1
         assert f"error: {message}" in stderr
+
+    @pytest.mark.parametrize(
+        "objective, field, index, value",
+        [
+            ("linear", "weights", 0, float("nan")),
+            ("coverage", "item_weights", 1, float("inf")),
+            ("linear", "p", 2, float("nan")),
+        ],
+        ids=["weights-nan", "item-weights-inf", "p-nan"],
+    )
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_non_finite_number_names_field(
+        self, tmp_path, capsys, command, objective, field, index, value
+    ):
+        # Python's json writes and reads NaN and Infinity
+        path = tmp_path / "inst.json"
+        _run(capsys, "generate", "--size", "4", "--objective", objective, "--out", str(path))
+        doc = json.loads(path.read_text())
+        where = doc if field == "p" else doc["objective"]
+        where[field][index] = value
+        path.write_text(json.dumps(doc))
+        code, stdout, stderr = _run(capsys, command, "--instance", str(path))
+        assert code == 1
+        prefix = "" if field == "p" else "objective."
+        assert stderr == f"error: {prefix}{field}[{index}]: expected a finite number, got {value}\n"
+        assert stdout == ""
 
     @pytest.mark.parametrize("size", [0, -2])
     @pytest.mark.parametrize("command", ["run", "verify"])

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probe_kit.cli import main
 from probe_kit.errors import CapabilityError
+from probe_kit.instances import ProbingInstance
 from probe_kit.matroids import (
     GROUND_CAP,
     Matroid,
@@ -18,11 +20,17 @@ from probe_kit.matroids import (
     partition_matroid,
     uniform_matroid,
     _dependent_flats,
-    _PartitionKind,
-    _UniformKind,
 )
 
-from conftest import ExchangeMap, exchange_map, exchange_map_violations
+from conftest import (
+    ExchangeMap,
+    downward_closure,
+    exchange_map,
+    exchange_map_violations,
+    explicit_rank_scan,
+    partition_rank_loop,
+    uniform_rank_loop,
+)
 
 # elements are named a=0, b=1, c=2, d=3 in comments below
 
@@ -187,13 +195,13 @@ class TestAxioms:
 
 
 class TestRankTable:
-    """Closed-form numpy tables against the per-mask rank loop."""
+    """Each constructor's table against the per-mask rank formulas in conftest."""
 
     @staticmethod
-    def _assert_table_matches_loop(kind):
-        table = kind._build_table()
-        assert type(table) is list
-        assert table == [kind._rank_raw(m) for m in range(1 << kind.n)]
+    def _assert_table(m, expected):
+        assert type(m._tbl) is list
+        assert all(type(r) is int for r in m._tbl)
+        assert m._tbl == expected
 
     @pytest.mark.parametrize(
         "n, parts, caps",
@@ -206,11 +214,35 @@ class TestRankTable:
         ],
     )
     def test_partition(self, n, parts, caps):
-        self._assert_table_matches_loop(_PartitionKind(n, parts, caps))
+        self._assert_table(partition_matroid(n, parts, caps), partition_rank_loop(n, parts, caps))
 
     @pytest.mark.parametrize("n, k", [(4, 0), (4, 2), (4, 4), (3, 7), (0, 0), (0, 2)])
     def test_uniform(self, n, k):
-        self._assert_table_matches_loop(_UniformKind(n, k))
+        self._assert_table(uniform_matroid(n, k), uniform_rank_loop(n, k))
+
+    @pytest.mark.parametrize(
+        "n, sets",
+        [
+            (3, [[], [0], [1], [2], [0, 1]]),
+            (2, [[], [0, 1]]),  # not downward-closed: {0} and {1} are implied
+            (4, [[], [0, 1, 2], [1, 3], [3, 1]]),  # sloppy, with a repeated set
+            (0, [[]]),
+        ],
+    )
+    def test_explicit(self, n, sets):
+        m = explicit_matroid(n, sets)
+        self._assert_table(m, explicit_rank_scan(n, sets))
+        closure = sorted(downward_closure(sets))
+        assert m.to_json()["independent_sets"] == [_bits(c) for c in closure]
+
+    def test_explicit_posted_pricing_at_cap(self, tmp_path, capsys):
+        path = tmp_path / "pricing.json"
+        argv = ["generate", "--kind", "posted-pricing", "--size", "4", "--price-levels", "3"]
+        assert main(argv + ["--seed", "1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        m = ProbingInstance.load(path).inner[0]
+        assert m.kind_name == "explicit" and m.ground_size == 16
+        self._assert_table(m, explicit_rank_scan(16, m.to_json()["independent_sets"]))
 
     @pytest.mark.parametrize("element", [-1, 4, 99])
     def test_partition_element_outside_ground_set_rejected(self, element):
@@ -233,8 +265,16 @@ class TestRankTable:
                 parts.append(elems[:size])
                 elems = elems[size:]
             caps = [rng.randint(0, len(p) + 1) for p in parts]
-            self._assert_table_matches_loop(_PartitionKind(n, parts, caps))
-            self._assert_table_matches_loop(_UniformKind(n, rng.randint(0, n + 1)))
+            self._assert_table(
+                partition_matroid(n, parts, caps), partition_rank_loop(n, parts, caps)
+            )
+            k = rng.randint(0, n + 1)
+            self._assert_table(uniform_matroid(n, k), uniform_rank_loop(n, k))
+            # random families, closed downward or not
+            sets = [[]] + [
+                [e for e in range(n) if rng.random() < 0.5] for _ in range(rng.randint(0, 8))
+            ]
+            self._assert_table(explicit_matroid(n, sets), explicit_rank_scan(n, sets))
 
 
 class TestExtensionMasks:
@@ -317,6 +357,40 @@ class TestSerialization:
             m2 = Matroid.from_json(m.to_json())
             for mask in range(1 << m.ground_size):
                 assert m.indep_mask(mask) == m2.indep_mask(mask)
+
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            (uniform_matroid(4, 2), {"kind": "uniform", "n": 4, "k": 2}),
+            (
+                partition_matroid(5, [[3, 1], (0, 2)], [1, 2]),
+                {"kind": "partition", "n": 5, "parts": [[1, 3], [0, 2]], "capacities": [1, 2]},
+            ),
+            (
+                graphic_matroid(3, [(0, 1), [1, 2], (2, 0)]),
+                {"kind": "graphic", "n_vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]},
+            ),
+            (
+                # closed downward and listed in mask order
+                explicit_matroid(3, [[2, 0], [], [1]]),
+                {"kind": "explicit", "n": 3, "independent_sets": [[], [0], [1], [2], [0, 2]]},
+            ),
+            (
+                partition_matroid(4, [[0, 1], [2, 3]], [1, 1]).contract(3).contract(0),
+                {
+                    "kind": "partition",
+                    "n": 4,
+                    "parts": [[0, 1], [2, 3]],
+                    "capacities": [1, 1],
+                    "contracted": [0, 3],
+                },
+            ),
+        ],
+        ids=["uniform", "partition", "graphic", "explicit", "contracted"],
+    )
+    def test_json_form(self, m, expected):
+        assert m.to_json() == expected
+        assert Matroid.from_json(expected).to_json() == expected
 
     def test_round_trip_preserves_contraction(self):
         m = uniform_matroid(4, 2).contract(1)
