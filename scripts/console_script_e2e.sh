@@ -9,8 +9,9 @@
 # instance, whose extension tables are built with numpy) and null above it
 # (|E| = 14); the seed-24 verify exercises scipy's nnls in the exact
 # decomposition fallback; the posted-pricing instance builds a 16-element
-# explicit rank table, at the cap, with numpy; a generator asked for |E| = 21
-# exits 3 and writes no file.
+# explicit rank table, at the cap, with numpy; the 12-element
+# weighted-matroid-rank instance builds its value table with numpy; a
+# generator asked for |E| = 21 exits 3 and writes no file.
 set -euo pipefail
 
 d="${1:-$(mktemp -d)}"
@@ -39,6 +40,11 @@ probe-kit generate --kind posted-pricing --size 4 --price-levels 3 --seed 1 \
 probe-kit verify --instance "$d/pricing.json"
 probe-kit run --instance "$d/pricing.json" --trials 200 --seed 0 \
     --out "$d/pricing-report.json"
+probe-kit generate --kind random --size 12 --objective weighted_matroid_rank \
+    --seed 3 --out "$d/rank.json"
+probe-kit run --instance "$d/rank.json" --trials 200 --cg-steps 20 --seed 0 \
+    --out "$d/rank-report.json"
+probe-kit verify --instance "$d/rank.json"
 python -c "import json, sys; d = sys.argv[1];
 a = json.load(open(d + '/dp-cap-report.json'));
 b = json.load(open(d + '/near-integral-report.json'));

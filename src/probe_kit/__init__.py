@@ -19,11 +19,11 @@ from .matroids import (
     uniform_matroid,
 )
 from .objectives import (
-    CoverageObjective,
-    LinearObjective,
     Objective,
-    WeightedRankObjective,
-    multilinear_exact,
+    coverage_objective,
+    linear_objective,
+    multilinear_value_from_table,
+    weighted_rank_objective,
 )
 from .oracle import optimal_adaptive_value
 from .polytope import decompose_masks, in_polytope, support_update_masks

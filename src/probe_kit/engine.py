@@ -167,10 +167,9 @@ def potential(state: PolicyState) -> float:
     exact multilinear mode.
     """
     inst = state.inst
-    if inst.objective.is_linear:
-        w = inst.objective.weights
-        return sum(inst.p[i] * w[i] * state.x[i] for i in bits_of_support(state.x))
     table = inst.objective.value_table()
+    if inst.objective.is_linear:  # w_e = f({e})
+        return sum(inst.p[i] * table[1 << i] * state.x[i] for i in bits_of_support(state.x))
     y = [0.0] * inst.n
     for i in bits(state.s_mask):
         y[i] = 1.0

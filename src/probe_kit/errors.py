@@ -7,8 +7,8 @@ the ground set, dependent sets where independent ones are required).
 
 class CapabilityError(RuntimeError):
     """Instance too large for an exact code path: a ground set above
-    `matroids.GROUND_CAP`, checked when a matroid, a value table or an exact
-    multilinear extension is built, or above `oracle.DP_CAP` for the adaptive
+    `matroids.GROUND_CAP`, checked when a matroid or an objective (each a
+    table over all 2^n masks) is built, or above `oracle.DP_CAP` for the adaptive
     DP, whose value `run` then reports as null."""
 
 

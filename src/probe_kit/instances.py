@@ -21,10 +21,10 @@ from .matroids import (
     uniform_matroid,
 )
 from .objectives import (
-    CoverageObjective,
-    LinearObjective,
     Objective,
-    WeightedRankObjective,
+    coverage_objective,
+    linear_objective,
+    weighted_rank_objective,
 )
 from .schema import read_field
 
@@ -74,12 +74,12 @@ class ProbingInstance:
         """Parse an instance document; a missing or mistyped field raises
         ValueError naming its path (e.g. ``outer[0].capacities``)."""
 
-        def get(key, *kinds):
-            return read_field(d, key, "", *kinds)
+        def get(key, *kinds, lo=None, hi=None):
+            return read_field(d, key, "", *kinds, lo=lo, hi=hi)
 
         return ProbingInstance(
             n=read_field(get("ground", dict), "size", "ground", int, lo=1),
-            p=[float(v) for v in get("p", list, float)],
+            p=[float(v) for v in get("p", list, float, lo=0, hi=1)],
             objective=Objective.from_json(get("objective", dict)),
             inner=[
                 Matroid.from_json(m, f"inner[{j}]") for j, m in enumerate(get("inner", list, dict))
@@ -144,10 +144,10 @@ def gen_bipartite_matching(
     ]
     p = [round(rng.uniform(0.1, 0.9), 4) for _ in range(n)]
     if objective_kind == "linear":
-        objective: Objective = LinearObjective([round(rng.uniform(0.5, 2.0), 4) for _ in range(n)])
+        objective = linear_objective([round(rng.uniform(0.5, 2.0), 4) for _ in range(n)])
     elif objective_kind == "coverage":
         # items = right-side vertices; an edge covers its right endpoint
-        objective = CoverageObjective(
+        objective = coverage_objective(
             covers=[[v] for (_, v) in edges],
             item_weights=[round(rng.uniform(0.5, 2.0), 4) for _ in range(n_right)],
         )
@@ -205,7 +205,7 @@ def gen_posted_pricing(
     return ProbingInstance(
         n=n,
         p=p,
-        objective=LinearObjective(weights),
+        objective=linear_objective(weights),
         inner=inner,
         outer=outer,
         metadata={
@@ -277,20 +277,18 @@ def gen_random(
     outer = [_random_matroid(n, rng) for _ in range(k_out)]
     p = [round(rng.uniform(0.1, 1.0), 4) for _ in range(n)]
     if objective_kind == "linear":
-        objective: Objective = LinearObjective(
-            [round(rng.uniform(0.2, 2.0), 4) for _ in range(n)]
-        )
+        objective = linear_objective([round(rng.uniform(0.2, 2.0), 4) for _ in range(n)])
     elif objective_kind == "coverage":
         n_items = rng.randint(max(2, n // 2), n + 2)
         covers = [
             sorted(rng.sample(range(n_items), rng.randint(1, min(3, n_items))))
             for _ in range(n)
         ]
-        objective = CoverageObjective(
+        objective = coverage_objective(
             covers, [round(rng.uniform(0.2, 2.0), 4) for _ in range(n_items)]
         )
     elif objective_kind == "weighted_matroid_rank":
-        objective = WeightedRankObjective(
+        objective = weighted_rank_objective(
             _random_matroid(n, rng), [round(rng.uniform(0.2, 2.0), 4) for _ in range(n)]
         )
     else:

@@ -275,30 +275,22 @@ def partition_matroid(n: int, parts, capacities) -> Matroid:
 
 
 def _forest_rank_table(edges: list) -> list:
-    """Rank of every edge set: |touched vertices| - |components|, by union-find."""
+    """Rank of every edge set: |touched vertices| - |components|, by doubling.
 
-    def find(parent, v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    table = []
-    for mask in range(1 << len(edges)):
-        parent = {}
-        r = 0
-        for i in bits(mask):
-            u, v = edges[i]
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            ru, rv = find(parent, u), find(parent, v)
-            if ru != rv:
-                parent[ru] = rv
-                r += 1
-        table.append(r)
-    return table
+    Each mask keeps a component label per vertex.  A mask whose highest edge
+    is (u, v) copies the labels of the mask without it and merges u's label
+    into v's; its rank is one more when the two labels differed.
+    """
+    vertex = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
+    labels = np.zeros((1 << len(edges), len(vertex)), dtype=np.int8)  # <= 2 * GROUND_CAP
+    labels[0] = np.arange(len(vertex))
+    rank = np.zeros(1 << len(edges), dtype=np.int64)
+    for b, (u, v) in enumerate(edges):
+        lab = labels[: 1 << b]
+        lu, lv = lab[:, vertex[u]], lab[:, vertex[v]]
+        labels[1 << b : 2 << b] = np.where(lab == lu[:, None], lv[:, None], lab)
+        rank[1 << b : 2 << b] = rank[: 1 << b] + (lu != lv)
+    return rank.tolist()
 
 
 def graphic_matroid(n_vertices: int, edges) -> Matroid:

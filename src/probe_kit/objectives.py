@@ -1,145 +1,141 @@
-"""Objective evaluation: linear and monotone submodular set functions and the
-exact multilinear extension F.
+"""Objectives as value tables, and the exact multilinear extension F.
+
+An objective is its JSON form and its value f(S) on every mask S of the 2^n
+lattice, as a list of Python floats.  One constructor per kind (linear,
+coverage, weighted matroid rank) validates its input, checks the ground size
+against GROUND_CAP and builds the table with numpy passes over all masks.
+Each entry is a sum of weights added in ascending index order from 0.0, so it
+equals Python's `sum` over the same weights bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
+
+import numpy as np
 
 from .matroids import Matroid, bits, check_ground_size, mask_of
 from .schema import read_field
 
 
-@dataclass(frozen=True)
-class MultilinearValue:
-    value: float
-    stderr: float = 0.0
-
-
 class Objective:
-    """Base: a normalized monotone set function over ground set 0..n-1."""
+    """A normalized monotone set function over ground set 0..n-1, as its
+    JSON form `spec` and its value `table` over all 2^n masks."""
 
-    n: int
-    is_linear = False
+    __slots__ = ("_spec", "_table", "n", "is_linear")
+
+    def __init__(self, spec: dict, table: List[float]):
+        self._spec = spec
+        self._table = table
+        self.n = len(table).bit_length() - 1
+        self.is_linear = spec["kind"] == "linear"
 
     def value_mask(self, mask: int) -> float:
-        raise NotImplementedError
+        return self._table[mask]
 
     def value(self, s: Iterable[int]) -> float:
         mask = mask_of(s)
         if mask >> self.n:
             raise ValueError("element outside the objective's ground set")
-        return self.value_mask(mask)
+        return self._table[mask]
 
     def value_table(self) -> List[float]:
-        """All 2^n values, cached; the exact-mode workhorse (n <= GROUND_CAP)."""
-        check_ground_size(self.n)
-        cached = getattr(self, "_table", None)
-        if cached is None:
-            cached = [self.value_mask(m) for m in range(1 << self.n)]
-            object.__setattr__(self, "_table", cached)
-        return cached
+        """All 2^n values, indexed by mask."""
+        return self._table
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        return dict(self._spec)
 
     @staticmethod
     def from_json(d: dict, path: str = "objective") -> "Objective":
         """Parse `d`; `path` locates it in the document for error messages."""
 
-        def get(key, *kinds):
-            return read_field(d, key, path, *kinds)
+        def get(key, *kinds, lo=None, hi=None):
+            return read_field(d, key, path, *kinds, lo=lo, hi=hi)
 
         kind = get("kind", str)
         if kind == "linear":
-            return LinearObjective(get("weights", list, float))
+            return linear_objective(get("weights", list, float, lo=0))
         if kind == "coverage":
-            return CoverageObjective(
-                get("covers", list, list, int), get("item_weights", list, float)
-            )
+            item_weights = get("item_weights", list, float, lo=0)
+            covers = get("covers", list, list, int, lo=0, hi=len(item_weights) - 1)
+            return coverage_objective(covers, item_weights)
         if kind == "weighted_matroid_rank":
-            return WeightedRankObjective(
+            return weighted_rank_objective(
                 Matroid.from_json(get("matroid", dict), f"{path}.matroid"),
-                get("weights", list, float),
+                get("weights", list, float, lo=0),
             )
         raise ValueError(f"{path}.kind: unknown objective kind {kind!r}")
 
 
-class LinearObjective(Objective):
-    def __init__(self, weights: Sequence[float]):
-        if any(w < 0 for w in weights):
-            raise ValueError("linear weights must be nonnegative")
-        self.weights = [float(w) for w in weights]
-        self.n = len(self.weights)
-
-    is_linear = True
-
-    def value_mask(self, mask: int) -> float:
-        return sum(self.weights[i] for i in bits(mask))
-
-    def to_json(self):
-        return {"kind": "linear", "weights": self.weights}
+# ---------------------------------------------------------------------------
+# Constructors: each validates, checks the ground-set size before any 2^n
+# work, then builds the value table and records the JSON form.
+# ---------------------------------------------------------------------------
 
 
-class CoverageObjective(Objective):
+def _weight_sums(size: int, terms) -> List[float]:
+    """Per mask, the sum of the weights w whose `hit` is set, for (w, hit)
+    in `terms` order, starting from 0.0."""
+    table = np.zeros(size)
+    for w, hit in terms:
+        table += np.where(hit, w, 0.0)
+    return table.tolist()
+
+
+def linear_objective(weights: Sequence[float]) -> Objective:
+    """f(S) = sum of w_e over e in S."""
+    if any(w < 0 for w in weights):
+        raise ValueError("linear weights must be nonnegative")
+    n = len(weights)
+    check_ground_size(n)
+    weights = [float(w) for w in weights]
+    masks = np.arange(1 << n, dtype=np.int64)
+    table = _weight_sums(1 << n, ((w, (masks >> e) & 1) for e, w in enumerate(weights)))
+    return Objective({"kind": "linear", "weights": weights}, table)
+
+
+def coverage_objective(covers: Sequence[Iterable[int]], item_weights: Sequence[float]) -> Objective:
     """f(S) = total weight of items covered by at least one element of S."""
-
-    def __init__(self, covers: Sequence[Iterable[int]], item_weights: Sequence[float]):
-        if any(w < 0 for w in item_weights):
-            raise ValueError("item weights must be nonnegative")
-        self.covers = [sorted(set(c)) for c in covers]
-        self.item_weights = [float(w) for w in item_weights]
-        self.n = len(self.covers)
-        n_items = len(item_weights)
-        for c in self.covers:
-            if any(not 0 <= i < n_items for i in c):
-                raise ValueError("covered item index out of range")
-        self._cover_masks = [mask_of(c) for c in self.covers]
-
-    is_linear = False
-
-    def value_mask(self, mask: int) -> float:
-        covered = 0
-        for i in bits(mask):
-            covered |= self._cover_masks[i]
-        return sum(self.item_weights[j] for j in bits(covered))
-
-    def to_json(self):
-        return {
-            "kind": "coverage",
-            "covers": self.covers,
-            "item_weights": self.item_weights,
-        }
+    if any(w < 0 for w in item_weights):
+        raise ValueError("item weights must be nonnegative")
+    covers = [sorted(set(c)) for c in covers]
+    if any(not 0 <= i < len(item_weights) for c in covers for i in c):
+        raise ValueError("covered item index out of range")
+    n = len(covers)
+    check_ground_size(n)
+    item_weights = [float(w) for w in item_weights]
+    covered_by = [0] * len(item_weights)  # item -> mask of the elements covering it
+    for e, c in enumerate(covers):
+        for i in c:
+            covered_by[i] |= 1 << e
+    masks = np.arange(1 << n, dtype=np.int64)
+    table = _weight_sums(
+        1 << n, ((w, (masks & cb) != 0) for w, cb in zip(item_weights, covered_by))
+    )
+    spec = {"kind": "coverage", "covers": covers, "item_weights": item_weights}
+    return Objective(spec, table)
 
 
-class WeightedRankObjective(Objective):
+def weighted_rank_objective(matroid: Matroid, weights: Sequence[float]) -> Objective:
     """f(S) = max weight of an independent subset of S (matroid greedy)."""
-
-    def __init__(self, matroid: Matroid, weights: Sequence[float]):
-        if len(weights) != matroid.ground_size:
-            raise ValueError("one weight per ground element required")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
-        self.matroid = matroid
-        self.weights = [float(w) for w in weights]
-        self.n = matroid.ground_size
-        self._order = sorted(range(self.n), key=lambda i: (-self.weights[i], i))
-
-    is_linear = False
-
-    def value_mask(self, mask: int) -> float:
-        best = self.matroid.max_independent_subset(
-            i for i in self._order if mask >> i & 1
-        )
-        return sum(self.weights[i] for i in bits(best))
-
-    def to_json(self):
-        return {
-            "kind": "weighted_matroid_rank",
-            "matroid": self.matroid.to_json(),
-            "weights": self.weights,
-        }
+    if len(weights) != matroid.ground_size:
+        raise ValueError("one weight per ground element required")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    n = len(weights)
+    check_ground_size(n)
+    weights = [float(w) for w in weights]
+    # the greedy on every mask at once: scan by decreasing weight (ties by
+    # index) and keep e when it is in the mask and extends what was kept
+    ext = matroid.extension_masks()
+    masks = np.arange(1 << n, dtype=np.int64)
+    kept = np.zeros(1 << n, dtype=np.int64)
+    for e in sorted(range(n), key=lambda i: (-weights[i], i)):
+        kept |= masks & ext[kept] & (1 << e)
+    table = _weight_sums(1 << n, ((w, (kept >> e) & 1) for e, w in enumerate(weights)))
+    spec = {"kind": "weighted_matroid_rank", "matroid": matroid.to_json(), "weights": weights}
+    return Objective(spec, table)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +156,9 @@ def _split_point(y: Sequence[float]):
     return base, frac
 
 
-def _enumerate_multilinear(value: Callable[[int], float], y: Sequence[float]) -> float:
-    """F(y) = sum over masks R of Pr_y[R] * value(R), enumerating only the
-    fractional coordinates of y; `value` is `f.value_mask` or a table lookup."""
+def multilinear_value_from_table(table: Sequence[float], y: Sequence[float]) -> float:
+    """F(y) = sum over masks R of Pr_y[R] * f(R) from the value table of f,
+    enumerating only the fractional coordinates of y."""
     base, frac = _split_point(y)
     total = 0.0
     k = len(frac)
@@ -176,21 +172,8 @@ def _enumerate_multilinear(value: Callable[[int], float], y: Sequence[float]) ->
                 prob *= v
             else:
                 prob *= 1.0 - v
-        total += prob * value(mask)
+        total += prob * table[mask]
     return total
-
-
-def multilinear_exact(f: Objective, y: Sequence[float]) -> MultilinearValue:
-    """F(y) by exact enumeration over the fractional coordinates of y."""
-    check_ground_size(f.n)
-    if len(y) != f.n:
-        raise ValueError("dimension mismatch")
-    return MultilinearValue(_enumerate_multilinear(f.value_mask, y), 0.0)
-
-
-def multilinear_value_from_table(table: Sequence[float], y: Sequence[float]) -> float:
-    """F(y) using a precomputed value table; hot path for the engine."""
-    return _enumerate_multilinear(table.__getitem__, y)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,8 @@ def build_probing_lp(inst: ProbingInstance) -> LinearProgram:
     if not inst.objective.is_linear:
         raise ValueError("build_probing_lp requires a linear objective")
     a_ub, b_ub = _polytope_rows(inst)
-    c = np.array([inst.p[e] * inst.objective.weights[e] for e in range(inst.n)])
+    table = inst.objective.value_table()  # w_e = f({e})
+    c = np.array([inst.p[e] * table[1 << e] for e in range(inst.n)])
     return LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub)
 
 

@@ -13,7 +13,7 @@ import probe_kit.engine
 from probe_kit.errors import CapabilityError, InvariantViolation
 from probe_kit.instances import ProbingInstance, gen_random
 from probe_kit.matroids import Matroid, _exchange_mapping_masks, bits, mask_of, set_of
-from probe_kit.objectives import MultilinearValue, Objective, multilinear_exact
+from probe_kit.objectives import Objective, multilinear_value_from_table
 from probe_kit.oracle import _AdaptiveDP
 from probe_kit.relaxation import (
     LinearProgram,
@@ -67,6 +67,13 @@ def mid_run_states(count, seed_base):
     return states
 
 
+def multilinear(f: Objective, y: Sequence[float]) -> float:
+    """F(y), exact, from the value table of f."""
+    if len(y) != f.n:
+        raise ValueError("dimension mismatch")
+    return multilinear_value_from_table(f.value_table(), y)
+
+
 def partial_derivative(f, y, e):
     """dF/dy_e at y, exact: F(y with y_e=1) - F(y with y_e=0)."""
     if not 0 <= e < f.n:
@@ -74,7 +81,7 @@ def partial_derivative(f, y, e):
     hi = list(y)
     lo = list(y)
     hi[e], lo[e] = 1.0, 0.0
-    return multilinear_exact(f, hi).value - multilinear_exact(f, lo).value
+    return multilinear(f, hi) - multilinear(f, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +199,66 @@ def explicit_rank_scan(n: int, independent_sets) -> list:
             if m & ~mask == 0:
                 best = max(best, m.bit_count())
         table.append(best)
+    return table
+
+
+def forest_rank_loop(edges) -> list:
+    """Rank of every edge set, |touched vertices| - |components|, by a fresh
+    union-find per mask."""
+
+    def find(parent, v):
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    table = []
+    for mask in range(1 << len(edges)):
+        parent = {}
+        r = 0
+        for i in bits(mask):
+            u, v = edges[i]
+            parent.setdefault(u, u)
+            parent.setdefault(v, v)
+            ru, rv = find(parent, u), find(parent, v)
+            if ru != rv:
+                parent[ru] = rv
+                r += 1
+        table.append(r)
+    return table
+
+
+# ---------------------------------------------------------------------------
+# Per-mask objective formulas over the JSON form, the references for the
+# objective constructors' value tables
+# ---------------------------------------------------------------------------
+
+
+def objective_value_loop(spec: dict) -> list:
+    """f(S) for every mask S by the kind's formula, one Python `sum` per mask."""
+    kind = spec["kind"]
+    if kind == "linear":
+        w = spec["weights"]
+        return [sum(w[i] for i in bits(mask)) for mask in range(1 << len(w))]
+    if kind == "coverage":
+        cover_masks = [mask_of(c) for c in spec["covers"]]
+        table = []
+        for mask in range(1 << len(cover_masks)):
+            covered = 0
+            for i in bits(mask):
+                covered |= cover_masks[i]
+            table.append(sum(spec["item_weights"][j] for j in bits(covered)))
+        return table
+    # weighted matroid rank: the greedy by decreasing weight, ties by index
+    m = Matroid.from_json(spec["matroid"])
+    w = spec["weights"]
+    order = sorted(range(len(w)), key=lambda i: (-w[i], i))
+    table = []
+    for mask in range(1 << len(w)):
+        best = m.max_independent_subset(i for i in order if mask >> i & 1)
+        table.append(sum(w[i] for i in bits(best)))
     return table
 
 
@@ -400,6 +467,14 @@ def max_f_plus_over_polytope(inst: ProbingInstance) -> float:
     if not res.success:
         raise RuntimeError(f"f+ polytope LP failed: {res.message}")
     return float(-res.fun)
+
+
+@dataclass(frozen=True)
+class MultilinearValue:
+    """A sampled estimate of F(y) and its standard error."""
+
+    value: float
+    stderr: float
 
 
 def multilinear_sample(

@@ -247,30 +247,73 @@ class TestRun:
         assert "ground.size: expected int, got str" in stderr
 
     @pytest.mark.parametrize(
-        "matroid, message",
+        "patch, message",
         [
-            ({"kind": "uniform", "n": -1, "k": 1}, "outer[0].n: expected a value >= 0, got -1"),
             (
-                {"kind": "uniform", "n": 4, "k": 2, "contracted": [-1]},
+                {"outer": [{"kind": "uniform", "n": -1, "k": 1}]},
+                "outer[0].n: expected a value >= 0, got -1",
+            ),
+            (
+                {"outer": [{"kind": "uniform", "n": 4, "k": 2, "contracted": [-1]}]},
                 "outer[0].contracted[0]: expected a value in 0..3, got -1",
             ),
             (
-                {"kind": "explicit", "n": 4, "independent_sets": [[], [0], [-1]]},
+                {"outer": [{"kind": "explicit", "n": 4, "independent_sets": [[], [0], [-1]]}]},
                 "outer[0].independent_sets[2][0]: expected a value in 0..3, got -1",
             ),
             (
-                {"kind": "partition", "n": 4, "parts": [[0, 1, 2, 3]], "capacities": [-1]},
+                {"outer": [
+                    {"kind": "partition", "n": 4, "parts": [[0, 1, 2, 3]], "capacities": [-1]}
+                ]},
                 "outer[0].capacities[0]: expected a value >= 0, got -1",
             ),
+            (
+                {"objective": {"kind": "linear", "weights": [1.0, -1.0, 1.0, 1.0]}},
+                "objective.weights[1]: expected a value >= 0, got -1.0",
+            ),
+            (
+                {"objective": {
+                    "kind": "weighted_matroid_rank",
+                    "matroid": {"kind": "uniform", "n": 4, "k": 2},
+                    "weights": [1.0, 1.0, -0.5, 1.0],
+                }},
+                "objective.weights[2]: expected a value >= 0, got -0.5",
+            ),
+            (
+                {"objective": {
+                    "kind": "coverage", "covers": [[0], [1], [0], [1]], "item_weights": [1.0, -2.0]
+                }},
+                "objective.item_weights[1]: expected a value >= 0, got -2.0",
+            ),
+            (
+                {"objective": {
+                    "kind": "coverage", "covers": [[0, 1, 2, 99], [0], [1], [2]],
+                    "item_weights": [1.0] * 6,
+                }},
+                "objective.covers[0][3]: expected a value in 0..5, got 99",
+            ),
+            (
+                {"objective": {
+                    "kind": "coverage", "covers": [[0], [1], [2], [3, -1]],
+                    "item_weights": [1.0] * 6,
+                }},
+                "objective.covers[3][1]: expected a value in 0..5, got -1",
+            ),
+            ({"p": [2.0] * 4}, "p[0]: expected a value in 0..1, got 2.0"),
+            ({"p": [0.5, 0.5, -0.1, 0.5]}, "p[2]: expected a value in 0..1, got -0.1"),
         ],
-        ids=["uniform-n", "contracted", "explicit-set", "partition-capacity"],
+        ids=[
+            "uniform-n", "contracted", "explicit-set", "partition-capacity", "linear-weights",
+            "rank-weights", "item-weights", "covers-99", "covers-negative", "p-above-1",
+            "p-negative",
+        ],
     )
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_out_of_range_field_names_field(
-        self, instance_file, capsys, command, matroid, message
+        self, instance_file, capsys, command, patch, message
     ):
         doc = json.loads(instance_file.read_text())
-        doc["outer"][0] = matroid
+        doc.update(patch)
         instance_file.write_text(json.dumps(doc))
         code, _, stderr = _run(capsys, command, "--instance", str(instance_file))
         assert code == 1

@@ -19,17 +19,23 @@ from probe_kit.harness import run_policy
 from probe_kit.instances import ProbingInstance, gen_bipartite_matching
 from probe_kit.polytope import implied_vector_masks
 from probe_kit.matroids import free_matroid, uniform_matroid
-from probe_kit.objectives import LinearObjective, multilinear_exact
+from probe_kit.objectives import linear_objective
 from probe_kit.relaxation import solve_relaxation
 from probe_kit.seeding import spawn_rng
-from conftest import draw_choices_loop, mid_run_states, random_instance, simulate_value
+from conftest import (
+    draw_choices_loop,
+    mid_run_states,
+    multilinear,
+    random_instance,
+    simulate_value,
+)
 
 
 def _single_element_instance(p=1.0, w=1.0):
     return ProbingInstance(
         n=1,
         p=[p],
-        objective=LinearObjective([w]),
+        objective=linear_objective([w]),
         inner=[],
         outer=[uniform_matroid(1, 1)],
     )
@@ -46,7 +52,7 @@ class TestSelection:
         inst = ProbingInstance(
             n=2,
             p=[0.5, 0.5],
-            objective=LinearObjective([1.0, 1.0]),
+            objective=linear_objective([1.0, 1.0]),
             inner=[],
             outer=[free_matroid(2)],
         )
@@ -213,7 +219,7 @@ class TestPotential:
         state = init_state(inst, sol.x0)
         px = [inst.p[i] * sol.x0[i] for i in range(inst.n)]
         assert potential(state) == pytest.approx(
-            multilinear_exact(inst.objective, px).value, abs=1e-9
+            multilinear(inst.objective, px), abs=1e-9
         )
 
     def test_potential_is_computed_on_first_access_only(self, monkeypatch):

@@ -12,7 +12,7 @@ from probe_kit.instances import (
     verify_instance,
 )
 from probe_kit.matroids import matroid_axiom_violations, uniform_matroid
-from probe_kit.objectives import LinearObjective
+from probe_kit.objectives import linear_objective
 from probe_kit.oracle import optimal_adaptive_value
 from probe_kit.relaxation import solve_relaxation
 from probe_kit.harness import run_policy
@@ -34,7 +34,7 @@ class TestBipartiteMatching:
         inst2 = ProbingInstance(
             n=1,
             p=[0.5],
-            objective=LinearObjective([1.0]),
+            objective=linear_objective([1.0]),
             inner=inst.inner,
             outer=inst.outer,
         )
@@ -149,7 +149,7 @@ class TestSerialization:
             ProbingInstance(
                 n=1,
                 p=[1.5],
-                objective=LinearObjective([1.0]),
+                objective=linear_objective([1.0]),
                 inner=[],
                 outer=[uniform_matroid(1, 1)],
             )

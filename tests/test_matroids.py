@@ -28,6 +28,7 @@ from conftest import (
     exchange_map,
     exchange_map_violations,
     explicit_rank_scan,
+    forest_rank_loop,
     partition_rank_loop,
     uniform_rank_loop,
 )
@@ -243,6 +244,30 @@ class TestRankTable:
         m = ProbingInstance.load(path).inner[0]
         assert m.kind_name == "explicit" and m.ground_size == 16
         self._assert_table(m, explicit_rank_scan(16, m.to_json()["independent_sets"]))
+
+    @pytest.mark.parametrize(
+        "n_vertices, edges",
+        [
+            (3, [(0, 1), (1, 2), (2, 0)]),
+            (4, [(0, 1), (1, 1), (0, 1), (2, 3), (3, 2), (1, 2)]),  # a self-loop, parallel edges
+            (9, [(0, 5), (7, 8)]),  # untouched vertices
+            (1, []),
+        ],
+    )
+    def test_graphic(self, n_vertices, edges):
+        self._assert_table(graphic_matroid(n_vertices, edges), forest_rank_loop(edges))
+
+    def test_graphic_random(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            nv = rng.randint(1, 7)
+            edges = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 10))]
+            self._assert_table(graphic_matroid(nv, edges), forest_rank_loop(edges))
+
+    def test_graphic_at_cap(self):
+        rng = random.Random(17)
+        edges = [(rng.randrange(9), rng.randrange(9)) for _ in range(GROUND_CAP)]
+        self._assert_table(graphic_matroid(9, edges), forest_rank_loop(edges))
 
     @pytest.mark.parametrize("element", [-1, 4, 99])
     def test_partition_element_outside_ground_set_rejected(self, element):

@@ -7,100 +7,178 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probe_kit.errors import CapabilityError
-from probe_kit.matroids import uniform_matroid
-from probe_kit.objectives import (
-    CoverageObjective,
-    LinearObjective,
-    Objective,
-    WeightedRankObjective,
-    multilinear_exact,
-    objective_structure_violations,
+from probe_kit.matroids import (
+    explicit_matroid,
+    graphic_matroid,
+    partition_matroid,
+    uniform_matroid,
 )
-from conftest import f_plus_bruteforce, multilinear_sample, partial_derivative
+from probe_kit.objectives import (
+    Objective,
+    coverage_objective,
+    linear_objective,
+    objective_structure_violations,
+    weighted_rank_objective,
+)
+from conftest import (
+    f_plus_bruteforce,
+    multilinear,
+    multilinear_sample,
+    objective_value_loop,
+    partial_derivative,
+)
 
 
 class TestSetValues:
     def test_linear_sum(self):
-        f = LinearObjective([1.0, 2.0])
+        f = linear_objective([1.0, 2.0])
         assert f.value({0, 1}) == 3.0
 
     def test_coverage_union(self):
         # both elements cover the same unit-weight item
-        f = CoverageObjective([[0], [0]], [1.0])
+        f = coverage_objective([[0], [0]], [1.0])
         assert f.value({0, 1}) == 1.0
         assert f.value({0}) == 1.0
 
     def test_empty_set_is_zero(self):
         objectives = [
-            LinearObjective([1.0, 2.0]),
-            CoverageObjective([[0], [1]], [1.0, 3.0]),
-            WeightedRankObjective(uniform_matroid(2, 1), [1.0, 2.0]),
+            linear_objective([1.0, 2.0]),
+            coverage_objective([[0], [1]], [1.0, 3.0]),
+            weighted_rank_objective(uniform_matroid(2, 1), [1.0, 2.0]),
         ]
         for f in objectives:
             assert f.value(set()) == 0.0
 
     def test_weighted_rank_takes_best_basis(self):
-        f = WeightedRankObjective(uniform_matroid(3, 1), [1.0, 5.0, 2.0])
+        f = weighted_rank_objective(uniform_matroid(3, 1), [1.0, 5.0, 2.0])
         assert f.value({0, 1, 2}) == 5.0
 
     def test_structure_checks_pass(self):
         for f in (
-            LinearObjective([0.5, 1.5, 1.0]),
-            CoverageObjective([[0], [0, 1], [1]], [1.0, 2.0]),
-            WeightedRankObjective(uniform_matroid(3, 2), [1.0, 2.0, 3.0]),
+            linear_objective([0.5, 1.5, 1.0]),
+            coverage_objective([[0], [0, 1], [1]], [1.0, 2.0]),
+            weighted_rank_objective(uniform_matroid(3, 2), [1.0, 2.0, 3.0]),
         ):
             assert objective_structure_violations(f) == []
 
     def test_serialization_round_trip(self):
         for f in (
-            LinearObjective([0.5, 1.5]),
-            CoverageObjective([[0], [1]], [1.0, 2.0]),
-            WeightedRankObjective(uniform_matroid(2, 1), [1.0, 2.0]),
+            linear_objective([0.5, 1.5]),
+            coverage_objective([[0], [1]], [1.0, 2.0]),
+            weighted_rank_objective(uniform_matroid(2, 1), [1.0, 2.0]),
         ):
             g = Objective.from_json(f.to_json())
             for mask in range(1 << f.n):
                 assert g.value_mask(mask) == f.value_mask(mask)
 
 
+def _random_weights(rng, n):
+    # a few digits, so sums round; drawn from few values, so the greedy meets ties
+    return [
+        round(rng.choice([0.0, 0.3, 1.1, rng.uniform(0.0, 2.0)]), rng.randint(1, 6))
+        for _ in range(n)
+    ]
+
+
+def _random_matroid(rng, n):
+    kind = rng.choice(["uniform", "partition", "graphic", "explicit"])
+    if kind == "uniform":
+        m = uniform_matroid(n, rng.randint(0, n))
+    elif kind == "partition":
+        parts = [list(range(0, n, 2)), list(range(1, n, 2))]
+        m = partition_matroid(n, parts, [rng.randint(0, 3), rng.randint(0, 3)])
+    elif kind == "graphic":  # self-loops and parallel edges included
+        nv = rng.randint(1, 5)
+        m = graphic_matroid(nv, [(rng.randrange(nv), rng.randrange(nv)) for _ in range(n)])
+    else:
+        sets = [[e for e in range(n) if rng.random() < 0.4] for _ in range(rng.randint(0, 6))]
+        m = explicit_matroid(n, [[]] + sets)
+    free = [e for e in range(n) if m.indep_mask(1 << e)]
+    if free and rng.random() < 0.3:
+        m = m.contract(rng.choice(free))
+    return m
+
+
+def _random_objective(rng, n, kind):
+    if kind == "linear":
+        return linear_objective(_random_weights(rng, n))
+    if kind == "coverage":
+        n_items = rng.randint(1, n + 2)
+        covers = [rng.sample(range(n_items), rng.randint(0, min(3, n_items))) for _ in range(n)]
+        return coverage_objective(covers, _random_weights(rng, n_items))
+    return weighted_rank_objective(_random_matroid(rng, n), _random_weights(rng, n))
+
+
+KINDS = ["linear", "coverage", "weighted_matroid_rank"]
+
+
+class TestValueTable:
+    """Each constructor's table against the per-kind formulas in conftest, bit for bit."""
+
+    @staticmethod
+    def _assert_table(f):
+        table = f.value_table()
+        assert len(table) == 1 << f.n
+        assert all(type(v) is float for v in table)
+        expected = objective_value_loop(f.to_json())
+        assert [v.hex() for v in table] == [float(v).hex() for v in expected]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random(self, kind):
+        rng = random.Random(f"value-table-{kind}")
+        for n in list(range(13)) * 3:
+            f = _random_objective(rng, n, kind)
+            self._assert_table(f)
+            assert Objective.from_json(f.to_json()).value_table() == f.value_table()
+
+    def test_weighted_rank_over_contracted_matroid(self):
+        m = graphic_matroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 3), (0, 1)]).contract(0)
+        f = weighted_rank_objective(m, [1.0, 2.5, 2.5, 0.7, 3.0, 1.9])
+        assert f.to_json()["matroid"]["contracted"] == [0]
+        self._assert_table(f)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_at_cap(self, kind):
+        self._assert_table(_random_objective(random.Random(f"cap-{kind}"), 16, kind))
+
+
 class TestMultilinearExact:
     def test_extension_property_on_indicators(self):
-        f = CoverageObjective([[0], [0, 1], [1]], [1.0, 2.0])
+        f = coverage_objective([[0], [0, 1], [1]], [1.0, 2.0])
         for mask in range(1 << f.n):
             y = [1.0 if mask >> i & 1 else 0.0 for i in range(f.n)]
-            assert multilinear_exact(f, y).value == pytest.approx(f.value_mask(mask), abs=1e-12)
+            assert multilinear(f, y) == pytest.approx(f.value_mask(mask), abs=1e-12)
 
     def test_linear_is_expectation(self):
-        f = LinearObjective([1.0, 2.0])
-        assert multilinear_exact(f, [0.5, 0.5]).value == pytest.approx(1.5)
+        f = linear_objective([1.0, 2.0])
+        assert multilinear(f, [0.5, 0.5]) == pytest.approx(1.5)
 
     def test_coverage_of_shared_item(self):
         # f(S) = min(|S|, 1): F(0.5, 0.5) = 0.25*0 + 0.5*1 + 0.25*1
-        f = CoverageObjective([[0], [0]], [1.0])
-        assert multilinear_exact(f, [0.5, 0.5]).value == pytest.approx(0.75)
+        f = coverage_objective([[0], [0]], [1.0])
+        assert multilinear(f, [0.5, 0.5]) == pytest.approx(0.75)
 
     def test_above_ground_cap_rejected(self):
-        f = LinearObjective([1.0] * 17)
+        # no objective above the ground cap is built, so none lacks a table
         with pytest.raises(CapabilityError, match="ground set of 17 elements"):
-            multilinear_exact(f, [0.5] * 17)
-        with pytest.raises(CapabilityError, match="ground set of 17 elements"):
-            f.value_table()
+            linear_objective([1.0] * 17)
 
     def test_argument_outside_cube_rejected(self):
-        f = LinearObjective([1.0])
+        f = linear_objective([1.0])
         with pytest.raises(ValueError):
-            multilinear_exact(f, [1.5])
+            multilinear(f, [1.5])
 
 
 class TestMultilinearSample:
     def test_indicator_is_deterministic(self):
-        f = CoverageObjective([[0], [1]], [1.0, 2.0])
+        f = coverage_objective([[0], [1]], [1.0, 2.0])
         for seed in range(3):
             got = multilinear_sample(f, [1.0, 0.0], 50, random.Random(seed))
             assert got.value == f.value({0})
             assert got.stderr == 0.0
 
     def test_zero_point(self):
-        f = LinearObjective([1.0, 1.0])
+        f = linear_objective([1.0, 1.0])
         assert multilinear_sample(f, [0.0, 0.0], 10, random.Random(0)).value == 0.0
 
     @settings(deadline=None, max_examples=15)
@@ -108,11 +186,11 @@ class TestMultilinearSample:
     def test_agreement_with_exact(self, seed):
         rng = random.Random(seed)
         n = rng.randint(2, 5)
-        f = CoverageObjective(
+        f = coverage_objective(
             [[rng.randrange(3)] for _ in range(n)], [rng.uniform(0.5, 2.0) for _ in range(3)]
         )
         y = [rng.random() for _ in range(n)]
-        exact = multilinear_exact(f, y).value
+        exact = multilinear(f, y)
         got = multilinear_sample(f, y, 4000, rng)
         slack = 4 * got.stderr + 1e-9
         assert abs(got.value - exact) <= slack
@@ -120,49 +198,49 @@ class TestMultilinearSample:
 
 class TestPartialDerivative:
     def test_linear_gradient_is_weight(self):
-        f = LinearObjective([1.0, 3.0])
+        f = linear_objective([1.0, 3.0])
         for y in ([0.0, 0.0], [0.5, 0.2], [1.0, 1.0]):
             assert partial_derivative(f, y, 1) == pytest.approx(3.0)
 
     def test_marginal_at_indicator(self):
-        f = CoverageObjective([[0], [0], [1]], [1.0, 2.0])
+        f = coverage_objective([[0], [0], [1]], [1.0, 2.0])
         y = [1.0, 0.0, 0.0]
         assert partial_derivative(f, y, 1) == pytest.approx(f.value({0, 1}) - f.value({0}))
 
     def test_finite_difference_exact_by_multilinearity(self):
-        f = CoverageObjective([[0], [0, 1]], [1.0, 2.0])
+        f = coverage_objective([[0], [0, 1]], [1.0, 2.0])
         y = [0.3, 0.4]
         for h in (0.1, 0.5):
             hi = [y[0], y[1] + h]
-            fd = (multilinear_exact(f, hi).value - multilinear_exact(f, y).value) / h
+            fd = (multilinear(f, hi) - multilinear(f, y)) / h
             assert fd == pytest.approx(partial_derivative(f, y, 1), abs=1e-12)
 
 
 class TestFPlus:
     def test_indicator_point(self):
-        f = CoverageObjective([[0], [0]], [1.0])
+        f = coverage_objective([[0], [0]], [1.0])
         assert f_plus_bruteforce(f, [1.0, 1.0]) == pytest.approx(f.value({0, 1}))
 
     def test_zero_point(self):
-        f = LinearObjective([1.0, 2.0])
+        f = linear_objective([1.0, 2.0])
         assert f_plus_bruteforce(f, [0.0, 0.0]) == pytest.approx(0.0)
 
     def test_dominates_multilinear(self):
         rng = random.Random(3)
         for _ in range(10):
             n = rng.randint(2, 4)
-            f = CoverageObjective(
+            f = coverage_objective(
                 [[rng.randrange(2)] for _ in range(n)], [rng.uniform(0.5, 2.0) for _ in range(2)]
             )
             y = [rng.random() for _ in range(n)]
-            assert f_plus_bruteforce(f, y) >= multilinear_exact(f, y).value - 1e-9
+            assert f_plus_bruteforce(f, y) >= multilinear(f, y) - 1e-9
 
     def test_linear_objective_collapses_to_expectation(self):
-        f = LinearObjective([1.0, 2.0])
+        f = linear_objective([1.0, 2.0])
         y = [0.3, 0.6]
         assert f_plus_bruteforce(f, y) == pytest.approx(0.3 + 1.2)
 
     def test_size_cap(self):
-        f = LinearObjective([1.0] * 11)
+        f = linear_objective([1.0] * 11)
         with pytest.raises(CapabilityError):
             f_plus_bruteforce(f, [0.5] * 11)

@@ -8,7 +8,7 @@ import pytest
 from probe_kit.errors import CapabilityError
 from probe_kit.instances import ProbingInstance, gen_bipartite_matching
 from probe_kit.matroids import free_matroid, uniform_matroid
-from probe_kit.objectives import LinearObjective
+from probe_kit.objectives import linear_objective
 from probe_kit.oracle import optimal_adaptive_value
 from probe_kit.seeding import spawn_rng
 from conftest import (
@@ -22,7 +22,7 @@ from conftest import (
 def _linear_instance(p, w, inner, outer):
     n = len(p)
     return ProbingInstance(
-        n=n, p=list(p), objective=LinearObjective(list(w)), inner=inner, outer=outer
+        n=n, p=list(p), objective=linear_objective(list(w)), inner=inner, outer=outer
     )
 
 

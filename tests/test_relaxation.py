@@ -9,7 +9,11 @@ import probe_kit.relaxation
 from probe_kit.errors import CapabilityError
 from probe_kit.instances import ProbingInstance, gen_bipartite_matching, gen_random
 from probe_kit.matroids import bits, free_matroid, uniform_matroid
-from probe_kit.objectives import CoverageObjective, LinearObjective, multilinear_value_from_table
+from probe_kit.objectives import (
+    coverage_objective,
+    linear_objective,
+    multilinear_value_from_table,
+)
 from probe_kit.oracle import optimal_adaptive_value
 from probe_kit.relaxation import (
     LinearProgram,
@@ -70,7 +74,7 @@ class TestProbingLp:
         inst = ProbingInstance(
             n=1,
             p=[0.5],
-            objective=LinearObjective([1.0]),
+            objective=linear_objective([1.0]),
             inner=[],
             outer=[uniform_matroid(1, 1)],
         )
@@ -80,7 +84,7 @@ class TestProbingLp:
         inst = ProbingInstance(
             n=2,
             p=[0.0, 1.0],
-            objective=LinearObjective([10.0, 1.0]),
+            objective=linear_objective([10.0, 1.0]),
             inner=[],
             outer=[free_matroid(2)],
         )
@@ -91,7 +95,7 @@ class TestProbingLp:
         inst = ProbingInstance(
             n=2,
             p=[0.5, 0.5],
-            objective=LinearObjective([1.0, 1.0]),
+            objective=linear_objective([1.0, 1.0]),
             inner=[uniform_matroid(2, 1)],
             outer=[free_matroid(2)],
         )
@@ -108,7 +112,7 @@ class TestProbingLp:
             ProbingInstance(
                 n=17,
                 p=[0.5] * 17,
-                objective=LinearObjective([1.0] * 17),
+                objective=linear_objective([1.0] * 17),
                 inner=[],
                 outer=[uniform_matroid(17, 3)],
             )
@@ -198,7 +202,7 @@ class TestPolytopeRows:
         inst = ProbingInstance(
             n=3,
             p=[0.5, 0.5, 0.5],
-            objective=LinearObjective([1.0, 2.0, 3.0]),
+            objective=linear_objective([1.0, 2.0, 3.0]),
             inner=[free_matroid(3)],
             outer=[free_matroid(3)],
         )
@@ -214,7 +218,7 @@ class TestContinuousGreedy:
         inst = ProbingInstance(
             n=1,
             p=[1.0],
-            objective=LinearObjective([1.0]),
+            objective=linear_objective([1.0]),
             inner=[],
             outer=[uniform_matroid(1, 1)],
         )
@@ -367,7 +371,7 @@ class TestVectorizedContinuousGreedy:
         inst = ProbingInstance(
             n=3,
             p=[0.5, 0.8, 1.0],
-            objective=CoverageObjective([[0], [0, 1], [2]], [1.0, 2.0, 0.5]),
+            objective=coverage_objective([[0], [0, 1], [2]], [1.0, 2.0, 0.5]),
             inner=[free_matroid(3)],
             outer=[free_matroid(3)],
         )
