@@ -10,8 +10,10 @@
 # (|E| = 14); the seed-24 verify exercises scipy's nnls in the exact
 # decomposition fallback; the posted-pricing instance builds a 16-element
 # explicit rank table, at the cap, with numpy; the 12-element
-# weighted-matroid-rank instance builds its value table with numpy; a
-# generator asked for |E| = 21 exits 3 and writes no file.
+# weighted-matroid-rank instance builds its value table with numpy; the
+# hand-written 3-element instance contracts element 0 of its outer matroid,
+# which must then never be probed (E[OPT] 0.5); a generator asked for
+# |E| = 21 exits 3 and writes no file.
 set -euo pipefail
 
 d="${1:-$(mktemp -d)}"
@@ -49,6 +51,15 @@ python -c "import json, sys; d = sys.argv[1];
 a = json.load(open(d + '/dp-cap-report.json'));
 b = json.load(open(d + '/near-integral-report.json'));
 assert a['oracle_value'] is not None, a; assert b['oracle_value'] is None, b" "$d"
+python -c "import json, sys; json.dump({'ground': {'size': 3}, 'p': [0.5] * 3,
+'objective': {'kind': 'linear', 'weights': [3.0, 1.0, 1.0]}, 'inner': [],
+'outer': [{'kind': 'uniform', 'n': 3, 'k': 2, 'contracted': [0]}]},
+open(sys.argv[1], 'w'))" "$d/contracted.json"
+test "$(probe-kit verify --instance "$d/contracted.json")" = ok
+probe-kit run --instance "$d/contracted.json" --trials 200 --seed 0 \
+    --out "$d/contracted-report.json"
+python -c "import json, sys; r = json.load(open(sys.argv[1]));
+assert r['oracle_value'] == 0.5, r" "$d/contracted-report.json"
 
 code=0
 probe-kit generate --kind bipartite --size 5 --edge-prob 0.9 --seed 1 \

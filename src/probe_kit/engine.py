@@ -1,10 +1,17 @@
 """The step core of the iterative randomized rounding policy: probe
-selection, probe resolution, per-matroid guided support updates, contraction,
-and master-vector reconciliation, plus the state, step-record and trace types.
+selection, probe resolution, per-matroid guided support updates and
+master-vector reconciliation, plus the state, step-record and trace types.
+
+A state holds no matroids of its own. Probing e contracts it in every outer
+matroid and, when e is active, in every inner one, so at a state outer
+matroid j is `inst.outer[j]` contracted by `q_mask` and inner matroid j is
+`inst.inner[j]` contracted by `s_mask`; `support_updates` passes those masks
+to `support_update_masks` instead of building contracted copies.
 
 The sampled choices of one step are isolated in `StepChoices`, so the same
-deterministic core (`apply_step`) serves both the policy walk in `harness`
-and the exact one-step expectations of the drift checks. Every draw reads
+deterministic core serves both the policy walk in `harness` (`apply_step`)
+and the exact one-step expectations of the drift checks (`support_updates`,
+the only code that applies the guided support update). Every draw reads
 the cumulative tables a state caches on first use (`element_table`,
 `guide_tables`), so a state the walk meets again draws without rebuilding
 them. `outcomes` enumerates the same tables: each choice `draw_choices` can
@@ -23,7 +30,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 
 from .errors import InvariantViolation
 from .instances import ProbingInstance
-from .matroids import Matroid, bits
+from .matroids import bits
 from .objectives import multilinear_value_from_table
 from .polytope import (
     MaskTerms,
@@ -53,8 +60,6 @@ class PolicyState:
     x: List[float]
     q_mask: int
     s_mask: int
-    outer_m: List[Matroid]
-    inner_m: List[Matroid]
     outer_terms: List[MaskTerms]
     inner_terms: List[MaskTerms]
     sigma: float
@@ -198,8 +203,6 @@ def init_state(inst: ProbingInstance, x0: Sequence[float]) -> PolicyState:
         x=x,
         q_mask=0,
         s_mask=0,
-        outer_m=list(inst.outer),
-        inner_m=list(inst.inner),
         outer_terms=[decompose_masks(m, x) for m in inst.outer],
         inner_terms=[decompose_masks(m, px) for m in inst.inner],
         sigma=sum(x),
@@ -299,15 +302,41 @@ def outcomes(state: PolicyState) -> Iterator[Tuple[float, StepChoices]]:
                 )
 
 
+def support_updates(
+    state: PolicyState, choices: StepChoices
+) -> Tuple[List[MaskTerms], List[MaskTerms]]:
+    """(outer, inner): each matroid's decomposition after the guided support
+    update for `choices`, before trimming. An inactive probe leaves the inner
+    decompositions as they are; an inner guide of None (p_e x_e below
+    tolerance) drops e from that matroid's terms directly."""
+    inst = state.inst
+    e = choices.element
+    outer = [
+        support_update_masks(m, terms, e, g, state.q_mask)
+        for m, terms, g in zip(inst.outer, state.outer_terms, choices.outer_guides)
+    ]
+    if not choices.active:
+        return outer, state.inner_terms
+    ebit = 1 << e
+    inner = [
+        [(w, mask & ~ebit) for w, mask in terms]
+        if g is None
+        else support_update_masks(m, terms, e, g, state.s_mask)
+        for m, terms, g in zip(inst.inner, state.inner_terms, choices.inner_guides)
+    ]
+    return outer, inner
+
+
 def apply_step(state: PolicyState, choices: StepChoices) -> PolicyState:
     """Deterministic step core given all sampled choices.
 
-    Performs the guided support update for every matroid from the pre-step
-    decomposition snapshot, contracts, reconciles the master vector as the
-    coordinate-wise minimum of the per-matroid implied vectors, and trims each
-    updated decomposition (the inner ones of an inactive probe included) to
-    the new master point, so every step keeps an exact decomposition without
-    peeling again.
+    Takes every matroid's guided support update from `support_updates`,
+    reconciles the master vector as the coordinate-wise minimum of the
+    per-matroid implied vectors, and trims each updated decomposition (the
+    inner ones of an inactive probe included) to the new master point, so
+    every step keeps an exact decomposition without peeling again. Probing e
+    adds it to `q_mask`, and to `s_mask` when active, which contracts it in
+    the matroids the next step reads.
     """
     inst = state.inst
     n = inst.n
@@ -317,29 +346,8 @@ def apply_step(state: PolicyState, choices: StepChoices) -> PolicyState:
     if state.x[e] <= 0.0:
         raise ValueError("probed element has zero fractional value")
 
-    new_outer_m = []
-    outer_terms = []
-    for j, m in enumerate(state.outer_m):
-        outer_terms.append(
-            support_update_masks(m, state.outer_terms[j], e, choices.outer_guides[j])
-        )
-        new_outer_m.append(m.contract(e))
+    outer_terms, inner_terms = support_updates(state, choices)
     outer_implied = [implied_vector_masks(t, n) for t in outer_terms]
-
-    new_inner_m = list(state.inner_m)
-    inner_terms = state.inner_terms
-    s_mask = state.s_mask
-    if choices.active:
-        s_mask |= ebit
-        inner_terms = []
-        for j, m in enumerate(state.inner_m):
-            g = choices.inner_guides[j]
-            if g is None:
-                # degenerate support (p_e x_e below tolerance): drop e directly
-                inner_terms.append([(w, mask & ~ebit) for w, mask in state.inner_terms[j]])
-            else:
-                inner_terms.append(support_update_masks(m, state.inner_terms[j], e, g))
-            new_inner_m[j] = m.contract(e)
     inner_implied = [implied_vector_masks(t, n) for t in inner_terms]
 
     new_x = list(state.x)
@@ -363,9 +371,7 @@ def apply_step(state: PolicyState, choices: StepChoices) -> PolicyState:
         inst=inst,
         x=new_x,
         q_mask=state.q_mask | ebit,
-        s_mask=s_mask,
-        outer_m=new_outer_m,
-        inner_m=new_inner_m,
+        s_mask=(state.s_mask | ebit) if choices.active else state.s_mask,
         outer_terms=[trim_masks(t, v, new_x) for t, v in zip(outer_terms, outer_implied)],
         inner_terms=[trim_masks(t, v, new_px) for t, v in zip(inner_terms, inner_implied)],
         sigma=sum(new_x),

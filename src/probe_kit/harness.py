@@ -8,7 +8,10 @@ worker count.
 
 The policy is a Markov chain: a state is a function of (probed mask, success
 mask, x, outer and inner decompositions), and `apply_step` is deterministic
-given a state and its sampled `StepChoices`. The decompositions belong to the
+given a state and its sampled `StepChoices`. The masks also fix the
+matroids: a step reads the instance's outer matroids contracted by the
+probed mask and its inner ones contracted by the success mask, so a state
+holds no matroid of its own. The decompositions belong to the
 state because each step trims the previous ones: equal (q, s, x) reached
 along different paths may carry different decompositions and so draw
 different guides. `walk` is the one loop over that chain. It runs one trial

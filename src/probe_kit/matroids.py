@@ -131,6 +131,8 @@ class Matroid:
 
     def contract(self, e: int) -> "Matroid":
         bit = 1 << e
+        if bit & self._cmask:
+            raise ValueError(f"element {e} is already contracted")
         self._check_subset(bit)
         if not self.indep_mask(bit):
             raise ValueError(f"cannot contract loop element {e}")
@@ -155,8 +157,8 @@ class Matroid:
         return self._tbl[mask | self._cmask] - self._csize
 
     def indep_mask(self, mask: int) -> bool:
-        full = mask | self._cmask
-        return self._tbl[full] == full.bit_count()
+        """r(S) = |S|, so a contracted element, a loop of M/C, is dependent."""
+        return self._tbl[mask | self._cmask] - self._csize == mask.bit_count()
 
     def extension_masks(self) -> np.ndarray:
         """For every mask A, the mask of the elements e not in A with A + e
@@ -164,8 +166,7 @@ class Matroid:
         vector passes."""
         n = self._n
         masks = np.arange(1 << n, dtype=np.int64)
-        full = masks | self._cmask
-        indep = np.asarray(self._tbl)[full] == _popcounts(n)[full]
+        indep = np.asarray(self._tbl)[masks | self._cmask] - self._csize == _popcounts(n)
         ext = np.zeros(1 << n, dtype=np.int64)
         for e in range(n):
             ext |= (indep[masks | 1 << e] & (masks >> e & 1 == 0)).astype(np.int64) << e
@@ -220,8 +221,11 @@ class Matroid:
         else:
             raise ValueError(f"{path}.kind: unknown matroid kind {kind!r}")
         if "contracted" in d:
-            for e in get("contracted", list, int, lo=0, hi=m.ground_size - 1):
-                m = m.contract(e)
+            for i, e in enumerate(get("contracted", list, int, lo=0, hi=m.ground_size - 1)):
+                try:
+                    m = m.contract(e)
+                except ValueError as err:
+                    raise ValueError(f"{path}.contracted[{i}]: {err}") from None
         return m
 
     def __repr__(self):

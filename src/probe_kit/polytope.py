@@ -7,7 +7,9 @@ contracted elements must be 0).  A decomposition is a list of
 (weight, bitmask) terms with weights summing to 1.  Membership and peeling
 enumerate subsets of the support, which is the intended exact mode at desk
 scale: every matroid has a rank table (its ground set is at most GROUND_CAP
-elements), so each rank query is one table lookup.
+elements), so each rank query is one table lookup.  The support update
+reads a policy state's contraction as a mask (`contracted`) against the
+instance's matroid, so no contracted copy is built per step.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .matroids import Matroid, bits, mask_of
+from .matroids import Matroid, _exchange_mapping_masks, bits, mask_of
 
 EPS = 1e-9
 MAX_PEEL_FACTOR = 6  # peel iterations allowed per support element before LP fallback
@@ -239,18 +241,20 @@ def _decompose_lp(m: Matroid, x: Sequence[float]) -> MaskTerms:
 
 
 def support_update_masks(
-    m: Matroid, terms: MaskTerms, probed: int, guide_index: int
+    m: Matroid, terms: MaskTerms, probed: int, guide_index: int, contracted: int
 ) -> MaskTerms:
     """Apply the exchange-guided substitution after probing `probed`.
 
-    `m` is the matroid *before* contraction by `probed`; the guide term must
-    contain the probed element.  Terms containing the probed element just drop
-    it; every other term B_b is replaced by B_b - phi(probed) when the
-    exchange map from the guide sends probed to a real element, and kept
-    otherwise.  All resulting sets are independent in m/probed.
+    The matroid before contraction by `probed` is m/C, for the mask
+    `contracted` = C of elements already contracted (the state's `q_mask` or
+    `s_mask`); the terms avoid C, and the guide term must contain the probed
+    element.  Terms containing the probed element just drop it; every other
+    term B_b is replaced by B_b - phi(probed) when the exchange map from the
+    guide sends probed to a real element, and kept otherwise.  C is ORed into
+    every independence test and into both sets of the exchange map, where its
+    elements map to themselves, so this equals the update on m/C.  All
+    resulting sets are independent in m/(C + probed).
     """
-    from .matroids import _exchange_mapping_masks
-
     pbit = 1 << probed
     guide_mask = terms[guide_index][1]
     if not guide_mask & pbit:
@@ -260,11 +264,11 @@ def support_update_masks(
         if bmask & pbit:
             out.append((w, bmask & ~pbit))
         else:
-            if m.indep_mask(bmask | pbit):
+            if m.indep_mask(bmask | pbit | contracted):
                 # cheap path: B + probed independent means phi(probed) is bot
                 out.append((w, bmask))
                 continue
-            mapping = _exchange_mapping_masks(m, guide_mask, bmask)
+            mapping = _exchange_mapping_masks(m, guide_mask | contracted, bmask | contracted)
             f = mapping[probed]
             if f is None or f == probed:
                 out.append((w, bmask))

@@ -10,8 +10,7 @@ import random
 
 import numpy as np
 
-from probe_kit.drift import update_losses
-from probe_kit.engine import apply_step, outcomes
+from probe_kit.engine import apply_step, outcomes, support_updates
 from probe_kit.harness import mc_policy_value, run_policy
 from probe_kit.instances import gen_random
 from probe_kit.oracle import optimal_adaptive_value
@@ -140,22 +139,27 @@ def test_criterion_5_drift_inequalities():
         p = inst.p
         k = inst.k_out + inst.k_in
         f_before = state.objective_value()
-        outer = [update_losses(state, j) for j in range(inst.k_out)]
-        inner = [update_losses(state, j, inner=True) for j in range(inst.k_in)]
+        # outer terms decompose x, so their losses are scaled by p_i; inner
+        # terms decompose p*x, so theirs are already in p_i x_i units
+        scales = [p] * inst.k_out + [[1.0] * n] * inst.k_in
+        before = [implied_vector_masks(t, n) for t in state.outer_terms + state.inner_terms]
 
         total = 0.0
-        outer_mean = np.zeros((inst.k_out, n))
-        inner_mean = np.zeros((inst.k_in, n))
+        update_mean = np.zeros((inst.k_out + inst.k_in, n))
         step_mean = np.zeros(n)
         gain = drop = 0.0
         for prob, choices in outcomes(state):
             e = choices.element
             nxt = apply_step(state, choices)
             total += prob
-            for j, g in enumerate(choices.outer_guides):
-                outer_mean[j] += prob * np.array(outer[j](e, g))
-            for j, g in enumerate(choices.inner_guides):
-                inner_mean[j] += prob * np.array(inner[j](e, g))
+            # each matroid's support-update losses p_i (x_i - x'_i); the probed
+            # element's own zeroing belongs to the probe, not to the update
+            outer_terms, inner_terms = support_updates(state, choices)
+            for j, terms in enumerate(outer_terms + inner_terms):
+                after = implied_vector_masks(terms, n)
+                losses = [scales[j][i] * (before[j][i] - after[i]) for i in range(n)]
+                losses[e] = 0.0
+                update_mean[j] += prob * np.array(losses)
             # full-step losses, excluding the probed element's own zeroing
             deltas = np.array([p[i] * (x[i] - nxt.x[i]) for i in range(n)])
             deltas[e] = 0.0
@@ -163,6 +167,7 @@ def test_criterion_5_drift_inequalities():
             gain += prob * (nxt.objective_value() - f_before)
             drop += prob * (state.z - nxt.z)
         assert abs(total - 1.0) <= 1e-12, f"state {si}: probabilities sum to {total!r}"
+        outer_mean, inner_mean = update_mean[: inst.k_out], update_mean[inst.k_out :]
 
         for i in range(n):
             # one outer matroid update: E[loss_i] <= (1/Sigma)(1 - x_i) p_i x_i

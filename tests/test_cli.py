@@ -258,6 +258,16 @@ class TestRun:
                 "outer[0].contracted[0]: expected a value in 0..3, got -1",
             ),
             (
+                {"outer": [{"kind": "uniform", "n": 4, "k": 2, "contracted": [1, 1]}]},
+                "outer[0].contracted[1]: element 1 is already contracted",
+            ),
+            (
+                {"outer": [{
+                    "kind": "explicit", "n": 4, "independent_sets": [[], [0]], "contracted": [0, 3]
+                }]},
+                "outer[0].contracted[1]: cannot contract loop element 3",
+            ),
+            (
                 {"outer": [{"kind": "explicit", "n": 4, "independent_sets": [[], [0], [-1]]}]},
                 "outer[0].independent_sets[2][0]: expected a value in 0..3, got -1",
             ),
@@ -303,9 +313,9 @@ class TestRun:
             ({"p": [0.5, 0.5, -0.1, 0.5]}, "p[2]: expected a value in 0..1, got -0.1"),
         ],
         ids=[
-            "uniform-n", "contracted", "explicit-set", "partition-capacity", "linear-weights",
-            "rank-weights", "item-weights", "covers-99", "covers-negative", "p-above-1",
-            "p-negative",
+            "uniform-n", "contracted", "contracted-repeat", "contracted-loop", "explicit-set",
+            "partition-capacity", "linear-weights", "rank-weights", "item-weights", "covers-99",
+            "covers-negative", "p-above-1", "p-negative",
         ],
     )
     @pytest.mark.parametrize("command", ["run", "verify"])

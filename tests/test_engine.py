@@ -261,12 +261,14 @@ def _trim_cases():
 def _assert_exact_decompositions(state):
     inst = state.inst
     px = [inst.p[i] * state.x[i] for i in range(inst.n)]
-    for matroids, decompositions, vec in (
-        (state.outer_m, state.outer_terms, state.x),
-        (state.inner_m, state.inner_terms, px),
+    for matroids, contracted, decompositions, vec in (
+        (inst.outer, state.q_mask, state.outer_terms, state.x),
+        (inst.inner, state.s_mask, state.inner_terms, px),
     ):
         for m, terms in zip(matroids, decompositions):
-            assert all(m.indep_mask(mask) for _, mask in terms)
+            # each term is independent in m contracted by the state's mask
+            assert all(not mask & contracted for _, mask in terms)
+            assert all(m.indep_mask(mask | contracted) for _, mask in terms)
             assert all(w > 0.0 for w, _ in terms)
             assert abs(sum(w for w, _ in terms) - 1.0) <= 1e-12
             implied = implied_vector_masks(terms, inst.n)

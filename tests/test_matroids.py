@@ -1,5 +1,6 @@
 """Matroid oracles: membership, rank, contraction, exchange maps, axioms."""
 
+import itertools
 import random
 
 import pytest
@@ -104,6 +105,25 @@ class TestContraction:
         m = explicit_matroid(2, [[], [0]])
         with pytest.raises(ValueError):
             m.contract(1)
+
+    def test_contracted_element_is_a_loop(self):
+        m = uniform_matroid(4, 2).contract(0)
+        assert m.rank_mask(0b0001) == 0
+        assert not m.indep_mask(0b0001)
+        assert not m.indep_mask(0b0011)
+        assert m.indep_mask(0b0010)
+        assert m.extension_masks()[0] == 0b1110
+
+    def test_greedy_skips_contracted_elements(self):
+        views = [
+            uniform_matroid(4, 3).contract(1),
+            partition_matroid(5, [[0, 1], [2, 3, 4]], [1, 2]).contract(2).contract(4),
+            graphic_matroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)]).contract(0),
+        ]
+        for m in views:
+            cmask = mask_of(m.contracted)
+            for order in itertools.permutations(range(m.ground_size)):
+                assert not m.max_independent_subset(order) & cmask
 
     def test_contracted_rank_shift(self):
         m = uniform_matroid(4, 2)

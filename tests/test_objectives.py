@@ -137,6 +137,11 @@ class TestValueTable:
         assert f.to_json()["matroid"]["contracted"] == [0]
         self._assert_table(f)
 
+    def test_contracted_element_has_no_weight(self):
+        # U(2,1)/0 has rank 0, so neither element adds weight
+        m = uniform_matroid(2, 1).contract(0)
+        assert weighted_rank_objective(m, [5.0, 1.0]).value_table() == [0.0] * 4
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_at_cap(self, kind):
         self._assert_table(_random_objective(random.Random(f"cap-{kind}"), 16, kind))

@@ -7,7 +7,7 @@ import pytest
 
 from probe_kit.errors import CapabilityError
 from probe_kit.instances import ProbingInstance, gen_bipartite_matching
-from probe_kit.matroids import free_matroid, uniform_matroid
+from probe_kit.matroids import free_matroid, partition_matroid, uniform_matroid
 from probe_kit.objectives import linear_objective
 from probe_kit.oracle import optimal_adaptive_value
 from probe_kit.seeding import spawn_rng
@@ -30,6 +30,17 @@ class TestAdaptiveValue:
     def test_single_element(self):
         inst = _linear_instance([0.5], [2.0], [], [uniform_matroid(1, 1)])
         assert optimal_adaptive_value(inst) == pytest.approx(1.0)
+
+    def test_contracted_outer_element_is_never_probed(self):
+        # U(3,2)/0 is the partition [[0], [1, 2]] with capacities [0, 1]: the
+        # contracted element is a loop, so only one of 1 and 2 can be probed
+        contracted = _linear_instance(
+            [0.5] * 3, [3.0, 1.0, 1.0], [], [uniform_matroid(3, 2).contract(0)]
+        )
+        twin = _linear_instance(
+            [0.5] * 3, [3.0, 1.0, 1.0], [], [partition_matroid(3, [[0], [1, 2]], [0, 1])]
+        )
+        assert optimal_adaptive_value(contracted) == optimal_adaptive_value(twin) == 0.5
 
     def test_probe_until_first_success(self):
         # inner rank 1 stops after a success; probing both when the first

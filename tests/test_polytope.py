@@ -116,7 +116,7 @@ class TestSupportUpdate:
         # phi(a)=b since {b}+a is dependent
         m = uniform_matroid(2, 1)
         terms = [(0.5, 0b01), (0.5, 0b10)]
-        out = support_update_masks(m, terms, 0, 0)
+        out = support_update_masks(m, terms, 0, 0, 0)
         implied = implied_vector_masks(out, 2)
         assert implied == [0.0, 0.0]
         mc = m.contract(0)
@@ -126,14 +126,14 @@ class TestSupportUpdate:
     def test_terms_containing_probed_just_drop_it(self):
         m = uniform_matroid(3, 2)
         terms = [(0.6, 0b011), (0.4, 0b101)]
-        out = support_update_masks(m, terms, 0, 0)
+        out = support_update_masks(m, terms, 0, 0, 0)
         assert out[0] == (0.6, 0b010)
         assert out[1] == (0.4, 0b100)
 
     def test_free_matroid_other_terms_untouched(self):
         m = free_matroid(3)
         terms = [(0.5, 0b001), (0.3, 0b010), (0.2, 0b110)]
-        out = support_update_masks(m, terms, 0, 0)
+        out = support_update_masks(m, terms, 0, 0, 0)
         assert out[1] == (0.3, 0b010)
         assert out[2] == (0.2, 0b110)
 
@@ -141,13 +141,13 @@ class TestSupportUpdate:
         m = uniform_matroid(2, 1)
         terms = [(0.5, 0b01), (0.5, 0b10)]
         with pytest.raises(ValueError):
-            support_update_masks(m, terms, 0, 1)
+            support_update_masks(m, terms, 0, 1, 0)
 
     def test_rank_one_update_of_a_decomposition_is_independent_after_contraction(self):
         m = uniform_matroid(2, 1)
         terms = decompose_masks(m, [0.5, 0.5])
         guide = next(i for i, (_, mask) in enumerate(terms) if mask & 0b01)
-        out = support_update_masks(m, terms, 0, guide)
+        out = support_update_masks(m, terms, 0, guide, 0)
         mc = m.contract(0)
         assert mc.contracted == frozenset({0})
         assert all(mc.indep_mask(mask) for _, mask in out)
@@ -167,7 +167,7 @@ class TestSupportUpdate:
         guides = [i for i, (_, mask) in enumerate(terms) if mask >> e & 1]
         if not guides:
             return
-        out = support_update_masks(m, terms, e, rng.choice(guides))
+        out = support_update_masks(m, terms, e, rng.choice(guides), 0)
         mc = m.contract(e)
         implied = implied_vector_masks(out, m.ground_size)
         for _, mask in out:
@@ -176,6 +176,30 @@ class TestSupportUpdate:
         assert implied[e] <= 1e-12
         for i in range(m.ground_size):
             assert implied[i] <= x[i] + 1e-9
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(0, 10_000))
+    def test_contraction_mask_equals_contracted_view(self, seed):
+        # a contraction set C passed as a mask updates as on m/C
+        rng = random.Random(seed)
+        m = _random_matroid(rng)
+        view, contracted = m, 0
+        for c in rng.sample(range(m.ground_size), rng.randint(0, m.ground_size - 1)):
+            if view.indep_mask(1 << c):
+                view, contracted = view.contract(c), contracted | 1 << c
+        x = _random_point(view, rng)
+        terms = decompose_masks(view, x)
+        candidates = [i for i, v in enumerate(x) if v > 1e-9]
+        if not candidates:
+            return
+        e = rng.choice(candidates)
+        guides = [i for i, (_, mask) in enumerate(terms) if mask >> e & 1]
+        if not guides:
+            return
+        g = rng.choice(guides)
+        assert support_update_masks(m, terms, e, g, contracted) == support_update_masks(
+            view, terms, e, g, 0
+        )
 
 
 class TestImpliedVector:
