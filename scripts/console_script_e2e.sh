@@ -12,8 +12,10 @@
 # explicit rank table, at the cap, with numpy; the 12-element
 # weighted-matroid-rank instance builds its value table with numpy; the
 # hand-written 3-element instance contracts element 0 of its outer matroid,
-# which must then never be probed (E[OPT] 0.5); a generator asked for
-# |E| = 21 exits 3 and writes no file.
+# which must then never be probed (E[OPT] 0.5); a run with 1100 trials (three
+# chunks) writes the same report bytes under --jobs 2, a real worker pool, as
+# under --jobs 1; a generator asked for |E| = 21 exits 3 and writes no file,
+# and a run whose --out directory is missing exits 1 without a traceback.
 set -euo pipefail
 
 d="${1:-$(mktemp -d)}"
@@ -60,12 +62,25 @@ probe-kit run --instance "$d/contracted.json" --trials 200 --seed 0 \
     --out "$d/contracted-report.json"
 python -c "import json, sys; r = json.load(open(sys.argv[1]));
 assert r['oracle_value'] == 0.5, r" "$d/contracted-report.json"
+for jobs in 1 2; do
+    probe-kit run --instance "$d/inst.json" --trials 1100 --cg-steps 20 \
+        --seed 0 --jobs "$jobs" --out "$d/jobs$jobs-report.json"
+done
+cmp "$d/jobs1-report.json" "$d/jobs2-report.json"
 
 code=0
 probe-kit generate --kind bipartite --size 5 --edge-prob 0.9 --seed 1 \
     --out "$d/over-cap.json" || code=$?
 if [ "$code" -ne 3 ] || [ -e "$d/over-cap.json" ]; then
     echo "over-cap generate: exit $code, expected 3 and no file" >&2
+    exit 1
+fi
+code=0
+probe-kit run --instance "$d/inst.json" --trials 200 --cg-steps 20 --seed 0 \
+    --out "$d/missing/r.json" 2> "$d/missing.err" || code=$?
+if [ "$code" -ne 1 ] || grep -q Traceback "$d/missing.err"; then
+    echo "run --out into a missing directory: exit $code, expected 1 and no traceback" >&2
+    cat "$d/missing.err" >&2
     exit 1
 fi
 echo "console script end to end: ok"

@@ -3,7 +3,8 @@ experiments against solved relaxations, and verify instance files.
 
 Every flag can also be set through an environment variable with the
 PROBE_KIT_ prefix (e.g. PROBE_KIT_RUN_TRIALS).  Exit codes: 0 ok, 1 usage
-error, 2 verification failure, 3 capability exceeded, 4 internal error (a
+error (a bad option or instance file, or a file that cannot be read or
+written), 2 verification failure, 3 capability exceeded, 4 internal error (a
 broken invariant or a failed solve).
 """
 
@@ -145,7 +146,7 @@ def main(argv=None) -> int:
     except click.UsageError as exc:  # names the offending option
         click.echo(f"error: {exc.format_message()}", err=True)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # an OSError names its path
         click.echo(f"error: {exc}", err=True)
         return EXIT_USAGE
     except VerificationError as exc:

@@ -2,9 +2,10 @@
 trials, aggregate, and compare against the exact adaptive oracle when the
 instance is small enough.
 
-Per-trial RNG streams are derived from (seed, trial index), and trials are
-aggregated in fixed chunk order, so reports are identical regardless of the
-worker count.
+Trials run in chunks of CHUNK. Each chunk draws from one RNG stream derived
+from (seed, chunk index), and its trials walk from that stream in trial
+order; chunks are aggregated in fixed order, so reports are identical
+regardless of the worker count.
 
 The policy is a Markov chain: a state is a function of (probed mask, success
 mask, x, outer and inner decompositions), and `apply_step` is deterministic
@@ -21,10 +22,10 @@ and recorded in the `children` of the state it came from, keyed by the drawn
 choices. A repeated step is then a draw from the state's cached tables and a
 dict lookup, and `apply_step`, with its feasibility assertion, runs once per
 distinct transition. The choices are still drawn on every step, so each
-trial consumes its RNG stream exactly as without reuse and the sums stay
-bit-identical. A walk of more than n steps raises `InvariantViolation`, since
-every step probes a new element. An optional sink sees each step as (state,
-choices, next state); `run_policy` uses one to record a `Trace`.
+trial consumes its chunk's RNG stream exactly as without reuse and the sums
+stay bit-identical. A walk of more than n steps raises `InvariantViolation`,
+since every step probes a new element. An optional sink sees each step as
+(state, choices, next state); `run_policy` uses one to record a `Trace`.
 
 An experiment walks one graph: it builds the initial state once and adds at
 most CHUNK * n states per chunk. At a chunk boundary a graph holding more
@@ -73,6 +74,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.cg_steps < 1:
+            raise ValueError("cg_steps must be >= 1")
 
 
 @dataclass
@@ -172,11 +175,12 @@ def _run_chunks(inst: ProbingInstance, x0, seed: int, chunks) -> List[tuple]:
         if root is None or len(store) > STORE_CAP:
             root = init_state(inst, x0)
             store = {}
+        rng = spawn_rng(seed, "chunk", start // CHUNK)
         total = 0.0
         total_sq = 0.0
         steps = 0
-        for t in range(start, start + count):
-            state, n_steps = walk(root, spawn_rng(seed, "trial", t), store)
+        for _ in range(count):
+            state, n_steps = walk(root, rng, store)
             v = state.objective_value()
             total += v
             total_sq += v * v

@@ -1,7 +1,9 @@
 """Deterministic seed derivation for fan-out into independent RNG streams.
 
-Each (seed, path...) pair maps to a fixed 128-bit value via SHA-256, so trial
-streams are identical regardless of execution order or worker count.
+Each (seed, path...) pair maps to a fixed 128-bit value via SHA-256, so a
+stream depends only on its path, never on execution order or worker count.
+The Monte Carlo harness spawns one stream per 512-trial chunk,
+(seed, "chunk", index), whose trials draw from it in order.
 """
 
 from __future__ import annotations

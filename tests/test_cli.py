@@ -119,6 +119,13 @@ class TestGenerate:
         assert stdout == ""
         assert not out.exists()
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "inst.json"
+        code, stdout, stderr = _run(capsys, "generate", "--out", str(out))
+        assert code == 1
+        assert stderr.startswith("error: ") and str(out) in stderr
+        assert stdout == ""
+
 
 class TestRun:
     @pytest.fixture()
@@ -201,6 +208,22 @@ class TestRun:
     def test_missing_instance_is_usage_error(self, capsys):
         code, _, _ = _run(capsys, "run", "--instance", "/no/such/file.json")
         assert code == 1
+
+    def test_directory_instance_is_usage_error(self, tmp_path, capsys):
+        code, stdout, stderr = _run(capsys, "run", "--instance", str(tmp_path))
+        assert code == 1
+        assert stderr.startswith("error: ") and str(tmp_path) in stderr
+        assert stdout == ""
+
+    def test_unwritable_out_is_usage_error(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        code, stdout, stderr = _run(
+            capsys, "run", "--instance", str(instance_file), "--trials", "10",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert stderr.startswith("error: ") and str(out) in stderr
+        assert stdout == ""
 
     def test_failed_lp_solve_is_internal_error(self, instance_file, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -2,7 +2,9 @@
 `jobs`) keeps sums exact, runs `apply_step` once per distinct transition,
 restarts above STORE_CAP and is freed on return; the one policy walk gives
 traced and Monte Carlo runs the same values and stops a chain that does not
-end; `jobs` is checked and never starts more workers than there are chunks."""
+end; each chunk seeds one RNG stream, so its sums do not depend on the worker
+or graph that walks it; `jobs` is checked and never starts more workers than
+there are chunks."""
 
 import gc
 import math
@@ -15,7 +17,14 @@ import probe_kit.harness
 from probe_kit.cli import main
 from probe_kit.engine import init_state
 from probe_kit.errors import InvariantViolation
-from probe_kit.harness import CHUNK, ExperimentConfig, mc_policy_value, run_policy, walk
+from probe_kit.harness import (
+    CHUNK,
+    ExperimentConfig,
+    _run_chunks,
+    mc_policy_value,
+    run_policy,
+    walk,
+)
 from probe_kit.relaxation import solve_relaxation
 from probe_kit.seeding import spawn_rng
 
@@ -25,7 +34,8 @@ TRIALS = 1100  # two full chunks and a partial one
 
 
 def _reference(inst, x0, trials, seed, monkeypatch):
-    """The uncached loop: one simulate_value per trial, summed in chunk order."""
+    """The uncached loop: one RNG stream per chunk, one simulate_value per
+    trial drawing from it in order, summed in chunk order."""
     steps = [0]
     apply_step = probe_kit.engine.apply_step
 
@@ -37,9 +47,10 @@ def _reference(inst, x0, trials, seed, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(probe_kit.engine, "apply_step", counting)
         for start in range(0, trials, CHUNK):
+            rng = spawn_rng(seed, "chunk", start // CHUNK)
             total = total_sq = 0.0
-            for t in range(start, min(start + CHUNK, trials)):
-                v = simulate_value(inst, x0, spawn_rng(seed, "trial", t))
+            for _ in range(start, min(start + CHUNK, trials)):
+                v = simulate_value(inst, x0, rng)
                 total += v
                 total_sq += v * v
             totals.append((total, total_sq))
@@ -108,17 +119,20 @@ def test_store_cap_restarts_the_graph(monkeypatch, roots):
 
 @pytest.mark.parametrize("seed, objective", [(5, "linear"), (8, "coverage")])
 def test_traces_match_the_monte_carlo_walk(seed, objective):
-    """Same final value and step count per trial stream, on a fresh graph and
-    on one that earlier trials filled, and the same experiment totals."""
+    """Same final value and step count per trial, on a fresh graph and on one
+    that earlier trials filled, and the same experiment totals: three copies
+    of the chunk's stream, one each for the traced run and the two walks,
+    advance in lock step."""
     inst = random_instance(seed, objective=objective)
     x0 = solve_relaxation(inst, cg_steps=20).x0
     trials = 300  # one chunk, so the experiment's sums are the plain running sums
     root, store = init_state(inst, x0), {}
+    traced, fresh, filled = (spawn_rng(seed, "chunk", 0) for _ in range(3))
     total, steps = 0.0, 0
-    for t in range(trials):
-        trace = run_policy(inst, x0, spawn_rng(seed, "trial", t))
-        for start, graph in ((init_state(inst, x0), {}), (root, store)):
-            state, n_steps = walk(start, spawn_rng(seed, "trial", t), graph)
+    for _ in range(trials):
+        trace = run_policy(inst, x0, traced)
+        for start, graph, rng in ((init_state(inst, x0), {}, fresh), (root, store, filled)):
+            state, n_steps = walk(start, rng, graph)
             assert (state.objective_value(), n_steps) == (trace.final_value, len(trace))
         total += trace.final_value
         steps += len(trace)
@@ -220,6 +234,38 @@ def test_workers_walk_their_own_graphs_with_unchanged_sums(in_process_pool, root
     assert len(roots) == 1
 
 
+@pytest.fixture()
+def streams(monkeypatch):
+    """The path of every RNG stream the harness seeds."""
+    paths = []
+    spawn_rng = probe_kit.harness.spawn_rng
+
+    def recording_spawn(*path):
+        paths.append(path)
+        return spawn_rng(*path)
+
+    monkeypatch.setattr(probe_kit.harness, "spawn_rng", recording_spawn)
+    return paths
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_each_chunk_seeds_one_stream(jobs, in_process_pool, streams):
+    inst = random_instance(4, objective="coverage")
+    x0 = solve_relaxation(inst, cg_steps=20).x0
+    mc_policy_value(inst, x0, TRIALS, seed=6, jobs=jobs)
+    assert streams == [(6, "chunk", c) for c in range(3)]
+
+
+def test_a_chunks_sums_do_not_depend_on_its_graph():
+    """A chunk walked on the graph an earlier chunk filled sums as it does
+    alone on a fresh graph, so no worker split changes it."""
+    inst = random_instance(4, objective="coverage")
+    x0 = list(solve_relaxation(inst, cg_steps=20).x0)
+    chunks = [(0, CHUNK), (CHUNK, 76)]
+    alone = _run_chunks(inst, x0, 6, chunks[:1]) + _run_chunks(inst, x0, 6, chunks[1:])
+    assert _run_chunks(inst, x0, 6, chunks) == alone
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_rejected(jobs, tmp_path, capsys):
     with pytest.raises(ValueError, match="jobs"):
@@ -229,6 +275,12 @@ def test_jobs_below_one_rejected(jobs, tmp_path, capsys):
     argv = ["run", "--instance", str(inst), "--trials", "10", "--jobs", str(jobs)]
     assert main(argv) == 1
     assert "Invalid value for '--jobs'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cg_steps", [0, -2])
+def test_cg_steps_below_one_rejected(cg_steps):
+    with pytest.raises(ValueError, match="cg_steps"):
+        ExperimentConfig(cg_steps=cg_steps)
 
 
 @pytest.mark.parametrize("trials", [0, -3])
