@@ -15,7 +15,8 @@
 # which must then never be probed (E[OPT] 0.5); a run with 1100 trials (three
 # chunks) writes the same report bytes under --jobs 2, a real worker pool, as
 # under --jobs 1; a generator asked for |E| = 21 exits 3 and writes no file,
-# and a run whose --out directory is missing exits 1 without a traceback.
+# and a run whose --out directory is missing exits 1 without a traceback,
+# before the experiment: with 10^8 trials it must not reach its 20 s timeout.
 set -euo pipefail
 
 d="${1:-$(mktemp -d)}"
@@ -76,10 +77,11 @@ if [ "$code" -ne 3 ] || [ -e "$d/over-cap.json" ]; then
     exit 1
 fi
 code=0
-probe-kit run --instance "$d/inst.json" --trials 200 --cg-steps 20 --seed 0 \
-    --out "$d/missing/r.json" 2> "$d/missing.err" || code=$?
+timeout 20 probe-kit run --instance "$d/inst.json" --trials 100000000 \
+    --cg-steps 20 --seed 0 --out "$d/missing/r.json" 2> "$d/missing.err" || code=$?
 if [ "$code" -ne 1 ] || grep -q Traceback "$d/missing.err"; then
-    echo "run --out into a missing directory: exit $code, expected 1 and no traceback" >&2
+    echo "run --out into a missing directory: exit $code (124: timed out)," \
+        "expected 1 before the run and no traceback" >&2
     cat "$d/missing.err" >&2
     exit 1
 fi

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 
 import click
@@ -88,6 +89,9 @@ def cmd_generate(kind, size, k_in, k_out, objective, edge_prob, patience, price_
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_run(instance, trials, seed, cg_steps, out, fmt, jobs):
     """Solve the relaxation and run Monte Carlo policy trials."""
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        # fail before the experiment, not after it; the file is opened only then
+        raise click.BadParameter(f"the directory of {out} does not exist", param_hint="'--out'")
     inst = ProbingInstance.load(instance)
     config = ExperimentConfig(trials=trials, seed=seed, cg_steps=cg_steps, jobs=jobs)
     report = run_experiment(inst, config)

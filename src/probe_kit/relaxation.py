@@ -130,59 +130,48 @@ def _product_weights(q: np.ndarray) -> np.ndarray:
     return w
 
 
-def _coordinate_differences(table: np.ndarray, n: int) -> List[np.ndarray]:
-    """table[R + e] - table[R] over the masks R without e, one array per e.
+def _gradient_matrix(table: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """J[e, R] = p_e * (table[R | e] - table[R - e]) for every e and mask R.
 
-    A mask's bit e is axis n - 1 - e of the (2,)*n view of the table, so each
-    array lines up with the product weights summed over that axis.
+    For product weights w of p * y over all 2^n masks, J @ w is p_e * dF/dy_e
+    for every e: the masks R - e and R + e share one difference, and their
+    two weights sum to Pr[R - e] with e summed out.  J holds n * 2^n
+    floats, 80 KB at n = 10 and 8.4 MB at GROUND_CAP = 16.
     """
-    cube = table.reshape((2,) * n)
-    return [
-        np.take(cube, 1, axis=n - 1 - e) - np.take(cube, 0, axis=n - 1 - e) for e in range(n)
-    ]
+    masks = np.arange(len(table))
+    bit = 1 << np.arange(len(p))[:, None]
+    return p[:, None] * (table[masks | bit] - table[masks & ~bit])
 
 
-def _scaled_gradient(
-    weights: np.ndarray, diffs: List[np.ndarray], p: np.ndarray
-) -> np.ndarray:
-    """p_e * dF/dy_e for every e, at the point whose product weights are given.
-
-    Summing the weights over element e's axis leaves Pr[R] over the other
-    elements, so each derivative is one dot product with `diffs[e]`.
-    """
-    n = len(p)
-    w = weights.reshape((2,) * n)
-    return p * np.array([np.vdot(w.sum(axis=n - 1 - e), diffs[e]) for e in range(n)])
-
-
-def _vertex_still_optimal(
-    v: np.ndarray, omega: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray
-) -> bool:
-    """KKT certificate: omega is a nonnegative combination of the constraint
-    normals tight at v (rank rows, and the box facets v_i = 1 and v_i = 0)."""
+def _tight_normals(v: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
+    """The normals, as columns, of the constraints tight at v: rank rows, and
+    the box facets v_i = 1 and v_i = 0."""
     eye = np.eye(len(v))
-    normals = np.vstack(
+    return np.vstack(
         (
             a_ub[a_ub @ v >= b_ub - TIGHT_TOL],
             eye[v >= 1.0 - TIGHT_TOL],
             -eye[v <= TIGHT_TOL],
         )
-    )
-    if not len(normals):  # scipy's nnls aborts the process on a matrix without columns
+    ).T
+
+
+def _vertex_still_optimal(normals: np.ndarray, omega: np.ndarray) -> bool:
+    """KKT certificate: omega is a nonnegative combination of the tight normals."""
+    if not normals.shape[1]:  # scipy's nnls aborts the process on a matrix without columns
         return False
-    _, residual = nnls(normals.T, omega)
+    _, residual = nnls(normals, omega)
     return residual <= 1e-9 * max(1.0, float(np.linalg.norm(omega)))
 
 
-def _greedy_vertex(
-    omega: np.ndarray, v, a_ub: np.ndarray, b_ub: np.ndarray
-) -> np.ndarray:
-    """A vertex maximizing omega.x over the polytope: the previous vertex v
-    while it stays optimal, otherwise a fresh LP solve."""
-    if v is not None and _vertex_still_optimal(v, omega, a_ub, b_ub):
-        return v
+def _greedy_vertex(omega: np.ndarray, vertex, a_ub: np.ndarray, b_ub: np.ndarray):
+    """A vertex maximizing omega.x over the polytope, as (v, tight normals):
+    the previous pair while v stays optimal, otherwise a fresh LP solve, whose
+    normals are built once here."""
+    if vertex is not None and _vertex_still_optimal(vertex[1], omega):
+        return vertex
     x, _ = solve_lp(LinearProgram(c=omega, a_ub=a_ub, b_ub=b_ub))
-    return x
+    return x, _tight_normals(x, a_ub, b_ub)
 
 
 def continuous_greedy(inst: ProbingInstance, steps: int = 200) -> RelaxedSolution:
@@ -191,10 +180,11 @@ def continuous_greedy(inst: ProbingInstance, steps: int = 200) -> RelaxedSolutio
     Each iteration finds a vertex maximizing the current multilinear gradient
     direction and moves y a 1/steps fraction towards it; the final y is an
     average of feasible points, hence feasible.  With w the product weights
-    of p * y over all masks, p_e dF/dy_e is w with coordinate e summed out,
-    dotted with table[R + e] - table[R].  The LP is solved again only when
-    the previous vertex stops being optimal for the new gradient, which
-    happens only a few times over a run.
+    of p * y over all masks, the scaled gradient p_e dF/dy_e is one matrix
+    product J @ w, with J from `_gradient_matrix` built once per run.  The
+    LP is solved again only when the previous vertex stops being optimal for
+    the new gradient, which happens only a few times over a run; the
+    certificate's tight normals are built once per solved vertex.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -203,15 +193,14 @@ def continuous_greedy(inst: ProbingInstance, steps: int = 200) -> RelaxedSolutio
     a_ub, b_ub = _polytope_rows(inst)
     p = np.asarray(inst.p, dtype=float)
     flat = np.asarray(table, dtype=float)
-    diffs = _coordinate_differences(flat, n)
+    grad = _gradient_matrix(flat, p)
     y = np.zeros(n)
     weights = _product_weights(p * y)
-    v = None
+    vertex = None
     values = []
     for _ in range(steps):
-        omega = _scaled_gradient(weights, diffs, p)
-        v = _greedy_vertex(omega, v, a_ub, b_ub)
-        y = y + v / steps
+        vertex = _greedy_vertex(grad @ weights, vertex, a_ub, b_ub)
+        y = y + vertex[0] / steps
         weights = _product_weights(p * y)
         values.append(float(weights @ flat))
     x0 = _repair_point(inst, np.clip(y, 0.0, 1.0))

@@ -225,6 +225,22 @@ class TestRun:
         assert stderr.startswith("error: ") and str(out) in stderr
         assert stdout == ""
 
+    def test_out_directory_is_checked_before_the_run(
+        self, instance_file, tmp_path, capsys, monkeypatch
+    ):
+        def broken(inst, config):
+            raise InvariantViolation("the experiment ran")
+
+        monkeypatch.setattr(probe_kit.cli, "run_experiment", broken)
+        out = tmp_path / "missing" / "r.json"
+        code, stdout, stderr = _run(
+            capsys, "run", "--instance", str(instance_file), "--out", str(out)
+        )
+        assert code == 1
+        assert "--out" in stderr and str(out) in stderr
+        assert "the experiment ran" not in stderr
+        assert stdout == "" and not out.parent.exists()
+
     def test_failed_lp_solve_is_internal_error(self, instance_file, capsys, monkeypatch):
         monkeypatch.setattr(
             probe_kit.relaxation,

@@ -13,6 +13,8 @@ from probe_kit.instances import ProbingInstance
 from probe_kit.matroids import (
     GROUND_CAP,
     Matroid,
+    _build_exchange_mapping,
+    _exchange_mapping_masks,
     explicit_matroid,
     free_matroid,
     graphic_matroid,
@@ -181,6 +183,20 @@ class TestExchangeMap:
         amask = a & rng.getrandbits(n)
         em = exchange_map(m, _bits(amask), _bits(b))
         assert exchange_map_violations(m, em) == []
+
+    def test_memoized_map_equals_a_fresh_one(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            m = _random_small_matroid(rng)
+            n = m.ground_size
+            a = m.max_independent_subset(rng.sample(range(n), n)) & rng.getrandbits(n)
+            b = m.max_independent_subset(rng.sample(range(n), n))
+            memoized = _exchange_mapping_masks(m, a, b)
+            assert _exchange_mapping_masks(m, a, b) is memoized
+            assert memoized == _build_exchange_mapping(m, a, b)
+            assert m._exchange_memo == {(a, b): memoized}
+            e = next(e for e in range(n) if m.indep_mask(1 << e))
+            assert m.contract(e)._exchange_memo == {}
 
 
 class TestAxioms:

@@ -17,11 +17,10 @@ from probe_kit.objectives import (
 from probe_kit.oracle import optimal_adaptive_value
 from probe_kit.relaxation import (
     LinearProgram,
-    _coordinate_differences,
+    _gradient_matrix,
     _polytope_rows,
     _product_weights,
     _repair_point,
-    _scaled_gradient,
     build_probing_lp,
     continuous_greedy,
     relaxation_feasible,
@@ -306,12 +305,12 @@ class TestVectorizedContinuousGreedy:
         rng = spawn_rng(n, "gradient", objective)
         inst = gen_random(n, 0, 1, objective, rng)
         f = inst.objective
-        diffs = _coordinate_differences(np.asarray(f.value_table()), n)
+        table = np.asarray(f.value_table())
         for _ in range(4):
             y = np.array([rng.choice([0.0, 1.0, rng.random()]) for _ in range(n)])
             for p in (np.asarray(inst.p), np.ones(n)):
                 q = p * y
-                omega = _scaled_gradient(_product_weights(q), diffs, p)
+                omega = _gradient_matrix(table, p) @ _product_weights(q)
                 for e in range(n):
                     assert abs(omega[e] - p[e] * partial_derivative(f, q, e)) <= 1e-12
 
@@ -336,7 +335,7 @@ class TestVectorizedContinuousGreedy:
 
         def recording(omega, v, a_ub, b_ub):
             vertex = greedy_vertex(omega, v, a_ub, b_ub)
-            picked.append((omega, vertex, a_ub, b_ub))
+            picked.append((omega, vertex[0], a_ub, b_ub))
             return vertex
 
         monkeypatch.setattr(probe_kit.relaxation, "_greedy_vertex", recording)
@@ -355,6 +354,23 @@ class TestVectorizedContinuousGreedy:
         calls = _counting_solves(monkeypatch)
         continuous_greedy(inst, steps=200)
         assert 1 <= calls[0] < 200
+
+    def test_tight_normals_built_once_per_solve(self, monkeypatch):
+        built = [0]
+        tight_normals = probe_kit.relaxation._tight_normals
+
+        def counting(v, a_ub, b_ub):
+            built[0] += 1
+            return tight_normals(v, a_ub, b_ub)
+
+        monkeypatch.setattr(probe_kit.relaxation, "_tight_normals", counting)
+        calls = _counting_solves(monkeypatch)
+        insts = _submodular_instances(6, 800)
+        insts.append(gen_random(10, 1, 1, "coverage", spawn_rng(3, "cg-solves")))
+        for inst in insts:
+            built[0] = calls[0] = 0
+            continuous_greedy(inst, steps=200)
+            assert 1 <= built[0] <= calls[0] < 200
 
     def test_single_step(self, monkeypatch):
         calls = _counting_solves(monkeypatch)
