@@ -14,9 +14,12 @@
 # hand-written 3-element instance contracts element 0 of its outer matroid,
 # which must then never be probed (E[OPT] 0.5); a run with 1100 trials (three
 # chunks) writes the same report bytes under --jobs 2, a real worker pool, as
-# under --jobs 1; a generator asked for |E| = 21 exits 3 and writes no file,
-# and a run whose --out directory is missing exits 1 without a traceback,
-# before the experiment: with 10^8 trials it must not reach its 20 s timeout.
+# under --jobs 1; verify runs every check on a 16-element complete bipartite
+# matching (stdout ok, empty stderr) and exits 2 when its outer matroid is
+# swapped for an explicit non-matroid; a generator asked for |E| = 21 exits 3
+# and writes no file; and a run whose --out directory is missing, or whose
+# --out is a directory, exits 1 without a traceback, before the experiment:
+# with 10^8 trials it must not reach its 20 s timeout.
 set -euo pipefail
 
 d="${1:-$(mktemp -d)}"
@@ -68,6 +71,24 @@ for jobs in 1 2; do
         --seed 0 --jobs "$jobs" --out "$d/jobs$jobs-report.json"
 done
 cmp "$d/jobs1-report.json" "$d/jobs2-report.json"
+probe-kit generate --kind bipartite --size 4 --edge-prob 1.0 --patience 2 \
+    --seed 1 --out "$d/matching16.json"
+probe-kit verify --instance "$d/matching16.json" > "$d/matching16.out" \
+    2> "$d/matching16.err"
+test "$(cat "$d/matching16.out")" = ok
+test ! -s "$d/matching16.err"
+python -c "import json, sys; doc = json.load(open(sys.argv[1]));
+assert doc['ground']['size'] == 16, doc['ground']
+doc['outer'][0] = {'kind': 'explicit', 'n': 16,
+                   'independent_sets': [[], [0], [1, 2]]}
+json.dump(doc, open(sys.argv[2], 'w'))" "$d/matching16.json" "$d/non-matroid.json"
+code=0
+probe-kit verify --instance "$d/non-matroid.json" 2> "$d/non-matroid.err" || code=$?
+if [ "$code" -ne 2 ] || ! grep -q "outer matroid 0: exchange" "$d/non-matroid.err"; then
+    echo "16-element non-matroid verify: exit $code, expected 2 and an exchange failure" >&2
+    cat "$d/non-matroid.err" >&2
+    exit 1
+fi
 
 code=0
 probe-kit generate --kind bipartite --size 5 --edge-prob 0.9 --seed 1 \
@@ -83,6 +104,15 @@ if [ "$code" -ne 1 ] || grep -q Traceback "$d/missing.err"; then
     echo "run --out into a missing directory: exit $code (124: timed out)," \
         "expected 1 before the run and no traceback" >&2
     cat "$d/missing.err" >&2
+    exit 1
+fi
+code=0
+timeout 20 probe-kit run --instance "$d/inst.json" --trials 100000000 \
+    --cg-steps 20 --seed 0 --out "$d" 2> "$d/out-dir.err" || code=$?
+if [ "$code" -ne 1 ] || grep -q Traceback "$d/out-dir.err"; then
+    echo "run --out naming a directory: exit $code (124: timed out)," \
+        "expected 1 before the run and no traceback" >&2
+    cat "$d/out-dir.err" >&2
     exit 1
 fi
 echo "console script end to end: ok"

@@ -54,7 +54,7 @@ def cli():
 @click.option("--patience", type=click.IntRange(min=1), default=2, show_default=True)
 @click.option("--price-levels", type=click.IntRange(min=1), default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(writable=True), required=True)
+@click.option("--out", type=click.Path(writable=True, dir_okay=False), required=True)
 def cmd_generate(kind, size, k_in, k_out, objective, edge_prob, patience, price_levels, seed, out):
     """Generate a probing instance file."""
     rng = spawn_rng(seed, "generate", kind)
@@ -84,14 +84,15 @@ def cmd_generate(kind, size, k_in, k_out, objective, edge_prob, patience, price_
 @click.option("--trials", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--cg-steps", type=click.IntRange(min=1), default=200, show_default=True)
-@click.option("--out", type=click.Path(writable=True), default=None)
+@click.option("--out", type=click.Path(writable=True, dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_run(instance, trials, seed, cg_steps, out, fmt, jobs):
     """Solve the relaxation and run Monte Carlo policy trials."""
-    if out and not os.path.isdir(os.path.dirname(out) or "."):
+    out_dir = os.path.dirname(out or "") or "."
+    if out and not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
         # fail before the experiment, not after it; the file is opened only then
-        raise click.BadParameter(f"the directory of {out} does not exist", param_hint="'--out'")
+        raise click.BadParameter(f"cannot write into the directory of {out}", param_hint="'--out'")
     inst = ProbingInstance.load(instance)
     config = ExperimentConfig(trials=trials, seed=seed, cg_steps=cg_steps, jobs=jobs)
     report = run_experiment(inst, config)
@@ -116,10 +117,7 @@ def cmd_run(instance, trials, seed, cg_steps, out, fmt, jobs):
 def cmd_verify(instance, cg_steps):
     """Run structural diagnostics on an instance file."""
     inst = ProbingInstance.load(instance)
-    skipped = []
-    problems = verify_instance(inst, skipped=skipped)
-    for s in skipped:
-        click.echo(f"skipped: {s}", err=True)
+    problems = verify_instance(inst)
     if not problems:
         relaxed = solve_relaxation(inst, cg_steps=cg_steps)
         if not relaxation_feasible(inst, relaxed.x0):

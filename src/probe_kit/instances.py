@@ -24,6 +24,7 @@ from .objectives import (
     Objective,
     coverage_objective,
     linear_objective,
+    objective_structure_violations,
     weighted_rank_objective,
 )
 from .schema import read_field
@@ -303,33 +304,12 @@ def gen_random(
     )
 
 
-def verify_instance(
-    inst: ProbingInstance, axiom_limit: int = 10, skipped: Optional[list] = None
-) -> list:
-    """Structural diagnostics used by the CLI verify command.
-
-    The exhaustive checks run only up to `axiom_limit` elements; each check
-    skipped above it is described in `skipped` when a list is given.
-    """
+def verify_instance(inst: ProbingInstance) -> list:
+    """Structural diagnostics used by the CLI verify command: the matroid
+    axioms of every constraint and the structure of the objective."""
     problems = []
-    skipped = [] if skipped is None else skipped
-    if inst.k_out < 1:
-        problems.append("no outer matroid")
     for label, matroids in (("inner", inst.inner), ("outer", inst.outer)):
         for j, m in enumerate(matroids):
-            if m.ground_size <= axiom_limit:
-                for v in matroid_axiom_violations(m):
-                    problems.append(f"{label} matroid {j}: {v}")
-            else:
-                skipped.append(
-                    f"{label} matroid {j} axiom checks "
-                    f"({m.ground_size} elements, limit {axiom_limit})"
-                )
-    if inst.n <= axiom_limit:
-        from .objectives import objective_structure_violations
-
-        for v in objective_structure_violations(inst.objective):
-            problems.append(f"objective: {v}")
-    else:
-        skipped.append(f"objective structure checks ({inst.n} elements, limit {axiom_limit})")
+            problems += [f"{label} matroid {j}: {v}" for v in matroid_axiom_violations(m)]
+    problems += [f"objective: {v}" for v in objective_structure_violations(inst.objective)]
     return problems

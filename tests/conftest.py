@@ -263,6 +263,63 @@ def objective_value_loop(spec: dict) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Exhaustive structure checks over pairs of sets, the references for the
+# local table checks of matroid_axiom_violations and
+# objective_structure_violations
+# ---------------------------------------------------------------------------
+
+
+def matroid_axiom_violations_loop(m: Matroid) -> list:
+    """The empty set, downward closure and the exchange axiom on the
+    effective ground set, by walking pairs of independent sets."""
+    gmask = mask_of(m.ground)
+    indep = [0]
+    is_indep = {0: True}
+    problems = []
+    if not m.indep_mask(0):
+        problems.append("empty set not independent")
+    for mask in range(1, 1 << m.ground_size):
+        if mask & ~gmask:
+            continue
+        ok = m.indep_mask(mask)
+        is_indep[mask] = ok
+        if ok:
+            indep.append(mask)
+            for b in bits(mask):
+                if not is_indep.get(mask & ~(1 << b), True):
+                    problems.append(f"downward closure fails at {sorted(bits(mask))}")
+                    break
+    for m1 in indep:
+        c1 = m1.bit_count()
+        for m2 in indep:
+            if m2.bit_count() <= c1:
+                continue
+            if not any(is_indep[m1 | (1 << e)] for e in bits(m2 & ~m1)):
+                problems.append(
+                    f"exchange axiom fails for {sorted(bits(m1))}, {sorted(bits(m2))}"
+                )
+    return problems
+
+
+def objective_structure_violations_loop(f: Objective) -> list:
+    """Normalization, monotonicity, and submodularity on every pair of masks."""
+    table = f.value_table()
+    problems = []
+    if abs(table[0]) > 1e-12:
+        problems.append("f(empty) != 0")
+    full = (1 << f.n) - 1
+    for mask in range(1 << f.n):
+        for i in bits(full & ~mask):
+            if table[mask | (1 << i)] < table[mask] - 1e-12:
+                problems.append(f"monotonicity fails adding {i} to {mask:b}")
+    for s in range(1 << f.n):
+        for t in range(s + 1, 1 << f.n):
+            if table[s | t] + table[s & t] > table[s] + table[t] + 1e-9:
+                problems.append(f"submodularity fails at masks {s:b}, {t:b}")
+    return problems
+
+
+# ---------------------------------------------------------------------------
 # Brute-force oracles
 # ---------------------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Command line interface: generate, run, verify, exit codes, env overrides."""
 
 import json
+import os
 
 import pytest
 
@@ -231,15 +232,28 @@ class TestRun:
         def broken(inst, config):
             raise InvariantViolation("the experiment ran")
 
+        access = os.access
+
+        def no_write(path, mode):
+            return mode != os.W_OK and access(path, mode)
+
         monkeypatch.setattr(probe_kit.cli, "run_experiment", broken)
-        out = tmp_path / "missing" / "r.json"
-        code, stdout, stderr = _run(
-            capsys, "run", "--instance", str(instance_file), "--out", str(out)
-        )
-        assert code == 1
-        assert "--out" in stderr and str(out) in stderr
-        assert "the experiment ran" not in stderr
-        assert stdout == "" and not out.parent.exists()
+        # a missing directory, an existing directory as the file itself, and a
+        # directory without write access (patched: the tests may run as root)
+        for out, patched in (
+            (tmp_path / "missing" / "r.json", access),
+            (tmp_path, access),
+            (tmp_path / "r.json", no_write),
+        ):
+            monkeypatch.setattr(os, "access", patched)
+            code, stdout, stderr = _run(
+                capsys, "run", "--instance", str(instance_file), "--out", str(out)
+            )
+            assert code == 1
+            assert "--out" in stderr and str(out) in stderr
+            assert "the experiment ran" not in stderr
+            assert stdout == ""
+        assert not (tmp_path / "missing").exists() and not (tmp_path / "r.json").exists()
 
     def test_failed_lp_solve_is_internal_error(self, instance_file, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -469,20 +483,63 @@ class TestVerify:
         assert code == 2
         assert "exchange" in stderr
 
-    def test_skipped_checks_are_listed(self, tmp_path, capsys):
+    @pytest.fixture()
+    def matching16(self, tmp_path, capsys):
+        """A 4x4 complete bipartite matching: |E| = 16, the ground-set cap."""
+        out = tmp_path / "matching16.json"
+        code, _, _ = _run(
+            capsys, "generate", "--kind", "bipartite", "--size", "4", "--edge-prob", "1.0",
+            "--patience", "2", "--seed", "1", "--out", str(out),
+        )
+        assert code == 0
+        return out
+
+    def test_every_check_runs_up_to_the_cap(self, tmp_path, matching16, capsys):
         out = tmp_path / "inst.json"
         _run(
             capsys, "generate", "--size", "12", "--k-in", "1", "--k-out", "1",
             "--seed", "2", "--out", str(out),
         )
+        for path in (out, matching16):
+            code, stdout, stderr = _run(capsys, "verify", "--instance", str(path))
+            assert (code, stdout, stderr) == (0, "ok\n", "")
+
+    def test_non_matroid_at_the_cap_fails(self, matching16, capsys):
+        doc = json.loads(matching16.read_text())
+        assert doc["ground"]["size"] == 16
+        # bases {a} and {b, c} differ in size; the other 13 elements are loops
+        family = {"kind": "explicit", "n": 16, "independent_sets": [[], [0], [1, 2]]}
+        doc["outer"][0] = family
+        matching16.write_text(json.dumps(doc))
+        code, _, stderr = _run(capsys, "verify", "--instance", str(matching16))
+        assert code == 2
+        assert "FAIL: outer matroid 0: exchange" in stderr
+
+    def test_rank_objective_over_a_non_matroid_fails(self, matching16, capsys):
+        doc = json.loads(matching16.read_text())
+        family = {"kind": "explicit", "n": 16, "independent_sets": [[], [0], [1, 2]]}
+        doc["objective"] = {
+            "kind": "weighted_matroid_rank",
+            "matroid": family,
+            "weights": [3.0, 2.0, 2.0] + [1.0] * 13,
+        }
+        matching16.write_text(json.dumps(doc))
+        code, _, stderr = _run(capsys, "verify", "--instance", str(matching16))
+        assert code == 2
+        assert "FAIL: objective: " in stderr
+
+    def test_large_weights_pass(self, tmp_path, capsys):
+        # rounding in a table of weights ~1e6 is far above 1e-9
+        weights = [475929.254, 1088458.451, 739910.333, 1207840.077, 1251440.608,
+                   131057.718, 26335.983, 1674938.164, 518708.029, 468661.922]
+        out = tmp_path / "heavy.json"
+        out.write_text(json.dumps({
+            "ground": {"size": 10}, "p": [0.5] * 10,
+            "objective": {"kind": "linear", "weights": weights},
+            "inner": [], "outer": [{"kind": "uniform", "n": 10, "k": 3}],
+        }))
         code, stdout, stderr = _run(capsys, "verify", "--instance", str(out))
-        assert code == 0
-        assert stdout == "ok\n"
-        assert stderr.splitlines() == [
-            "skipped: inner matroid 0 axiom checks (12 elements, limit 10)",
-            "skipped: outer matroid 0 axiom checks (12 elements, limit 10)",
-            "skipped: objective structure checks (12 elements, limit 10)",
-        ]
+        assert (code, stdout, stderr) == (0, "ok\n", "")
 
     def test_tampered_probabilities_fail(self, tmp_path, capsys):
         out = tmp_path / "inst.json"

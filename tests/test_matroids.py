@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from probe_kit.cli import main
 from probe_kit.errors import CapabilityError
-from probe_kit.instances import ProbingInstance
+from probe_kit.instances import ProbingInstance, _random_matroid
 from probe_kit.matroids import (
     GROUND_CAP,
     Matroid,
@@ -32,6 +32,7 @@ from conftest import (
     exchange_map_violations,
     explicit_rank_scan,
     forest_rank_loop,
+    matroid_axiom_violations_loop,
     partition_rank_loop,
     uniform_rank_loop,
 )
@@ -207,6 +208,7 @@ class TestAxioms:
             graphic_matroid(4, [(0, 1), (1, 2), (2, 0), (0, 3)]),
             explicit_matroid(3, [[], [0], [1], [2], [0, 2], [1, 2]]),
             free_matroid(4),
+            uniform_matroid(GROUND_CAP, 8),
         ):
             assert matroid_axiom_violations(m) == []
 
@@ -222,13 +224,35 @@ class TestAxioms:
 
     def test_axiom_checker_flags_exchange_failure(self):
         # downward-closed family that is not a matroid: bases {a} and {b,c}
-        # differ in size, violating the exchange axiom
-        m = explicit_matroid(3, [[], [0], [1, 2]])
-        assert matroid_axiom_violations(m) != []
+        # differ in size, violating the exchange axiom; at the cap the other
+        # 13 elements are loops
+        for n in (3, GROUND_CAP):
+            assert matroid_axiom_violations(explicit_matroid(n, [[], [0], [1, 2]])) == [
+                "exchange axiom fails: adding 1 raises the rank of [0, 2] more than that of [0]"
+            ]
 
-    def test_axiom_checker_size_cap(self):
-        with pytest.raises(ValueError):
-            matroid_axiom_violations(uniform_matroid(13, 3))
+    def test_table_check_agrees_with_the_pair_walk(self):
+        # random downward closures of a few sets, matroids or not, and
+        # contracted views of random matroids
+        rng = random.Random(17)
+        verdicts = []
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            k = min(3, n)
+            sets = [rng.sample(range(n), rng.randint(0, k)) for _ in range(rng.randint(1, 4))]
+            m = explicit_matroid(n, sets + [[]])
+            is_matroid = not matroid_axiom_violations_loop(m)
+            assert is_matroid == (not matroid_axiom_violations(m)), sets
+            verdicts.append(is_matroid)
+        assert 30 <= sum(verdicts) <= 270
+        for _ in range(150):
+            n = rng.randint(2, 8)
+            m = _random_matroid(n, rng)
+            for e in rng.sample(range(n), rng.randint(1, n)):
+                if m.indep_mask(1 << e):
+                    m = m.contract(e)
+            assert matroid_axiom_violations_loop(m) == []
+            assert matroid_axiom_violations(m) == [], m
 
 
 class TestRankTable:

@@ -24,6 +24,7 @@ from conftest import (
     f_plus_bruteforce,
     multilinear,
     multilinear_sample,
+    objective_structure_violations_loop,
     objective_value_loop,
     partial_derivative,
 )
@@ -60,6 +61,43 @@ class TestSetValues:
             weighted_rank_objective(uniform_matroid(3, 2), [1.0, 2.0, 3.0]),
         ):
             assert objective_structure_violations(f) == []
+
+    def test_table_check_agrees_with_the_pair_walk(self):
+        # all three kinds, the weighted rank ones also over non-matroid
+        # families, and 40% of the tables moved at a few masks by 1e-3 to 0.5
+        # of their largest value, so that no case sits at the tolerance
+        rng = random.Random(23)
+        verdicts = []
+        for i in range(150):
+            n = rng.randint(1, 8)
+            kind = i % 3
+            if kind == 0:
+                f = linear_objective([rng.uniform(0.0, 2.0) for _ in range(n)])
+            elif kind == 1:
+                covers = [rng.sample(range(n + 2), rng.randint(1, 3)) for _ in range(n)]
+                f = coverage_objective(covers, [rng.uniform(0.1, 2.0) for _ in range(n + 2)])
+            else:
+                sets = [rng.sample(range(n), rng.randint(0, min(3, n))) for _ in range(3)]
+                f = weighted_rank_objective(
+                    explicit_matroid(n, sets + [[]]), [rng.uniform(0.1, 2.0) for _ in range(n)]
+                )
+            if rng.random() < 0.4:
+                table = list(f.value_table())
+                scale = max(1.0, max(table))
+                for mask in rng.sample(range(1 << n), rng.randint(1, min(3, 1 << n))):
+                    table[mask] += rng.choice([-1, 1]) * rng.uniform(1e-3, 0.5) * scale
+                f = Objective(f.to_json(), table)
+            ok = not objective_structure_violations_loop(f)
+            assert ok == (not objective_structure_violations(f)), (f.to_json(), f.value_table())
+            verdicts.append(ok)
+        assert 30 <= sum(verdicts) <= 120
+
+    def test_tolerance_is_tight_at_unit_scale(self):
+        # a pair off by 1e-10 passed the old fixed 1e-9 on pairs of sets
+        table = list(linear_objective([0.5, 0.25, 0.25]).value_table())
+        table[0b111] += 1e-10
+        problems = objective_structure_violations(Objective({"kind": "linear"}, table))
+        assert problems and all(p.startswith("submodularity fails") for p in problems)
 
     def test_serialization_round_trip(self):
         for f in (
