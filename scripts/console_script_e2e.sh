@@ -19,7 +19,10 @@
 # swapped for an explicit non-matroid; a generator asked for |E| = 21 exits 3
 # and writes no file; and a run whose --out directory is missing, or whose
 # --out is a directory, exits 1 without a traceback, before the experiment:
-# with 10^8 trials it must not reach its 20 s timeout.
+# with 10^8 trials it must not reach its 20 s timeout. Last, start-up:
+# under PYTHONPROFILEIMPORTTIME, --help and generate never import
+# scipy.optimize, and a run, whose first solve imports it, must name it in
+# the same log, which shows that the check can see the import.
 set -euo pipefail
 
 d="${1:-$(mktemp -d)}"
@@ -113,6 +116,22 @@ if [ "$code" -ne 1 ] || grep -q Traceback "$d/out-dir.err"; then
     echo "run --out naming a directory: exit $code (124: timed out)," \
         "expected 1 before the run and no traceback" >&2
     cat "$d/out-dir.err" >&2
+    exit 1
+fi
+
+PYTHONPROFILEIMPORTTIME=1 probe-kit --help > /dev/null 2> "$d/help.imports"
+PYTHONPROFILEIMPORTTIME=1 probe-kit generate --size 4 --seed 5 \
+    --out "$d/startup.json" > /dev/null 2> "$d/generate.imports"
+PYTHONPROFILEIMPORTTIME=1 probe-kit run --instance "$d/startup.json" \
+    --trials 10 --out "$d/startup-report.json" 2> "$d/run.imports"
+for command in help generate; do
+    if grep -qF scipy.optimize "$d/$command.imports"; then
+        echo "$command imported scipy.optimize, which only a solve needs" >&2
+        exit 1
+    fi
+done
+if ! grep -qF scipy.optimize "$d/run.imports"; then
+    echo "run: the import-time log does not name scipy.optimize" >&2
     exit 1
 fi
 echo "console script end to end: ok"

@@ -28,7 +28,7 @@ from .instances import (
     verify_instance,
 )
 from .matroids import uniform_matroid
-from .polytope import decompose_masks, implied_vector_masks
+from .polytope import decompose_masks, implied_vector_masks, within
 from .relaxation import relaxation_feasible, solve_relaxation
 from .seeding import spawn_rng
 
@@ -129,7 +129,7 @@ def cmd_verify(instance, cg_steps):
             ):
                 for j, m in enumerate(matroids):
                     rt = implied_vector_masks(decompose_masks(m, vec), inst.n)
-                    if max(abs(rt[i] - vec[i]) for i in range(inst.n)) > 1e-9:
+                    if not within(rt, vec, 1e-9):
                         problems.append(f"{label} matroid {j}: decomposition round-trip failed")
     if problems:
         for p in problems:

@@ -38,6 +38,7 @@ from .polytope import (
     implied_vector_masks,
     support_update_masks,
     trim_masks,
+    within,
 )
 
 SIGMA_EPS = 1e-9
@@ -400,6 +401,5 @@ def _assert_state_feasible(state: PolicyState):
         (state.inner_terms, [inst.p[i] * state.x[i] for i in range(inst.n)]),
     ):
         for t in terms:
-            implied = implied_vector_masks(t, inst.n)
-            if any(abs(implied[i] - vec[i]) > 1e-7 for i in range(inst.n)):
+            if not within(implied_vector_masks(t, inst.n), vec, 1e-7):
                 raise InvariantViolation("decomposition does not match master vector")

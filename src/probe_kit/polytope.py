@@ -14,6 +14,9 @@ instance's matroid, so no contracted copy is built per step.
 
 from __future__ import annotations
 
+import math
+from itertools import repeat
+from operator import le, sub
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +41,8 @@ def in_polytope(m: Matroid, x: Sequence[float], tol: float = EPS) -> bool:
     """True iff x lies in P(m): x >= 0 and x(A) <= rank(A) for all A.
 
     It suffices to check subsets of the support; any violated constraint
-    restricted to the support is at least as violated.
+    restricted to the support is at least as violated.  A NaN or infinite
+    coordinate is outside.
     """
     n = m.ground_size
     if len(x) != n:
@@ -46,7 +50,7 @@ def in_polytope(m: Matroid, x: Sequence[float], tol: float = EPS) -> bool:
     cmask = mask_of(m.contracted)
     support = 0
     for i, v in enumerate(x):
-        if v < -tol:
+        if v < -tol or not math.isfinite(v):
             return False
         if v > tol:
             if cmask >> i & 1:
@@ -67,6 +71,15 @@ def _max_violation(m: Matroid, x: Sequence[float], support: int) -> float:
             worst = v
         sub = (sub - 1) & support
     return worst
+
+
+def within(a: Sequence[float], b: Sequence[float], tol: float) -> bool:
+    """True iff |a_i - b_i| <= tol for every i.
+
+    Every difference is compared with <=, so a NaN fails; `max` of the
+    differences would skip a NaN anywhere but first.
+    """
+    return all(map(le, map(abs, map(sub, a, b)), repeat(tol)))
 
 
 def implied_vector_masks(terms: MaskTerms, n: int) -> List[float]:
@@ -142,8 +155,11 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
     current support, taking the largest step that keeps the rescaled residual
     in the polytope.  Certification (round-trip within 1e-9) is the caller's
     contract; on a stalled peel we fall back to an exact nonnegative
-    least-squares fit over all independent subsets of the support.
+    least-squares fit over all independent subsets of the support.  Raises
+    ValueError on a NaN or infinite coordinate.
     """
+    if not all(map(math.isfinite, x)):
+        raise ValueError("point has a non-finite coordinate")
     n = m.ground_size
     residual = [min(max(float(v), 0.0), 1.0) for v in x]
     for i, v in enumerate(residual):

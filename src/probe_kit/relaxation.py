@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .instances import ProbingInstance
 from .matroids import bits
@@ -19,6 +18,23 @@ from .polytope import in_polytope
 FEAS_TOL = 1e-7
 SHRINK = 1.0 - 1e-9  # pull solver output strictly inside the polytope
 TIGHT_TOL = 1e-9  # slack under which a constraint counts as tight at a vertex
+
+
+# Importing scipy.optimize is most of the start-up cost of `import probe_kit`,
+# and only a solve needs it, so it is imported at the first call.  The solve
+# path looks both names up here, where tests can replace them.
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`."""
+    import scipy.optimize
+
+    return scipy.optimize.linprog(*args, **kwargs)
+
+
+def nnls(*args, **kwargs):
+    """`scipy.optimize.nnls`."""
+    import scipy.optimize
+
+    return scipy.optimize.nnls(*args, **kwargs)
 
 
 @dataclass

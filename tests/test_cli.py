@@ -1,7 +1,13 @@
-"""Command line interface: generate, run, verify, exit codes, env overrides."""
+"""Command line interface: generate, run, verify, exit codes, env overrides,
+and what start-up imports."""
 
 import json
+import math
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -564,9 +570,78 @@ class TestVerify:
         assert code == 0, stderr
         assert stdout == "ok\n"
 
+    def test_nan_round_trip_fails(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "inst.json"
+        _run(capsys, "generate", "--size", "4", "--seed", "2", "--out", str(out))
+        decompose_masks = probe_kit.cli.decompose_masks
+        # a NaN only in coordinate 1 of the round trip, which `max` would skip
+        monkeypatch.setattr(
+            probe_kit.cli, "decompose_masks",
+            lambda m, x: decompose_masks(m, x) + [(math.nan, 0b10)],
+        )
+        code, _, stderr = _run(capsys, "verify", "--instance", str(out))
+        assert code == 2
+        assert "FAIL: outer matroid 0: decomposition round-trip failed" in stderr
+
 
 class TestHelp:
     def test_help_exits_zero(self, capsys):
         code, stdout, _ = _run(capsys, "--help")
         assert code == 0
         assert "generate" in stdout
+
+
+# Runs each argv through cli.main in one fresh interpreter and prints, after
+# each, its exit code and whether scipy.optimize has been imported.
+_STARTUP = textwrap.dedent("""
+    import json, sys
+    loaded = lambda: "scipy.optimize" in sys.modules
+    seen = []
+    import probe_kit
+    seen.append(["import probe_kit", None, loaded()])
+    from probe_kit.cli import main
+    seen.append(["import probe_kit.cli", None, loaded()])
+    for argv in json.loads(sys.argv[1]):
+        seen.append([argv[0], main(argv), loaded()])
+    print(json.dumps(seen))
+""")
+
+
+def test_scipy_optimize_loads_at_the_first_solve(tmp_path):
+    inst, bad, wide, broken = (tmp_path / f"{n}.json" for n in ("inst", "bad", "wide", "broken"))
+    assert main(["generate", "--size", "4", "--seed", "2", "--out", str(inst)]) == 0
+    bad.write_text("{")
+    wide.write_text(json.dumps({
+        "ground": {"size": 17}, "p": [0.5] * 17,
+        "objective": {"kind": "linear", "weights": [1.0] * 17},
+        "inner": [], "outer": [{"kind": "uniform", "n": 17, "k": 3}],
+    }))
+    doc = json.loads(inst.read_text())
+    doc["outer"][0] = {"kind": "explicit", "n": 4, "independent_sets": [[], [0], [1], [2], [1, 2]]}
+    broken.write_text(json.dumps(doc))
+    argvs = [
+        ["--help"],
+        ["generate", "--size", "4", "--seed", "2", "--out", str(tmp_path / "g.json")],
+        ["run", "--instance", str(bad)],
+        ["run", "--instance", str(wide)],
+        ["verify", "--instance", str(broken)],
+        ["run", "--instance", str(inst), "--trials", "10", "--out", str(tmp_path / "r.json")],
+    ]
+    src = str(Path(probe_kit.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP, json.dumps(argvs)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        ["import probe_kit", None, False],
+        ["import probe_kit.cli", None, False],
+        ["--help", 0, False],
+        ["generate", 0, False],
+        ["run", 1, False],  # a file that is not JSON
+        ["run", 3, False],  # |E| above the cap
+        ["verify", 2, False],  # fails its structural checks
+        ["run", 0, True],  # the first solve imports it
+    ]
+    assert json.loads((tmp_path / "r.json").read_text())["trials"] == 10

@@ -15,6 +15,7 @@ from probe_kit.engine import (
     potential,
     select_element,
 )
+from probe_kit.errors import InvariantViolation
 from probe_kit.harness import run_policy
 from probe_kit.instances import ProbingInstance, gen_bipartite_matching
 from probe_kit.polytope import implied_vector_masks
@@ -117,6 +118,28 @@ class TestStep:
         assert not trace.steps[0].active
         assert trace.final_successes == frozenset()
         assert trace.final_probed == frozenset({0})
+
+    def test_non_finite_x0_rejected(self):
+        inst = random_instance(3, n=4)
+        for x0 in ([math.nan] * 4, [0.2, math.nan, 0.1, 0.0]):
+            with pytest.raises(ValueError, match="non-finite coordinate"):
+                init_state(inst, x0)
+
+    def test_nan_term_weight_is_an_invariant_violation(self):
+        inst = ProbingInstance(
+            n=2,
+            p=[0.5, 0.5],
+            objective=linear_objective([1.0, 1.0]),
+            inner=[],
+            outer=[uniform_matroid(2, 1)],
+        )
+        state = init_state(inst, [0.5, 0.5])
+        assert sorted(state.outer_terms[0]) == [(0.5, 0b01), (0.5, 0b10)]
+        # only coordinate 1 of the implied vector is NaN, so a `max` of the
+        # differences would read 0
+        state.outer_terms[0] = [(0.5, 0b01), (math.nan, 0b10)]
+        with pytest.raises(InvariantViolation, match="does not match master vector"):
+            probe_kit.engine._assert_state_feasible(state)
 
     def test_full_run_feasibility(self):
         for seed in range(40):

@@ -13,6 +13,8 @@ from probe_kit.matroids import (
     uniform_matroid,
 )
 from probe_kit.errors import CapabilityError
+from probe_kit.instances import ProbingInstance
+from probe_kit.objectives import linear_objective
 from probe_kit.polytope import (
     _decompose_lp,
     decompose_masks,
@@ -20,6 +22,10 @@ from probe_kit.polytope import (
     in_polytope,
     support_update_masks,
 )
+from probe_kit.relaxation import relaxation_feasible
+
+NAN = float("nan")
+INF = float("inf")
 
 
 class TestMembership:
@@ -44,6 +50,19 @@ class TestMembership:
         with pytest.raises(ValueError):
             in_polytope(uniform_matroid(3, 1), [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "x",
+        [[NAN] * 3, [0.2, NAN, 0.1], [0.2, INF, 0.1]],
+        ids=["all-nan", "one-nan", "inf"],
+    )
+    def test_non_finite_coordinate_rejected(self, x):
+        assert not in_polytope(free_matroid(3), x)
+        inst = ProbingInstance(
+            n=3, p=[0.5] * 3, objective=linear_objective([1.0] * 3), inner=[],
+            outer=[free_matroid(3)],
+        )
+        assert not relaxation_feasible(inst, x)
+
 
 class TestDecompose:
     def test_split_point_on_rank_one(self):
@@ -64,6 +83,15 @@ class TestDecompose:
         for _, mask in terms:
             assert m.indep_mask(mask)
         assert abs(sum(w for w, _ in terms) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "x",
+        [[NAN] * 5, [0.2, NAN, 0.1, 0.0, 0.3], [0.2, INF, 0.1, 0.0, 0.3]],
+        ids=["all-nan", "one-nan", "inf"],
+    )
+    def test_non_finite_point_rejected(self, x):
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            decompose_masks(uniform_matroid(5, 2), x)
 
     def test_point_outside_rejected(self):
         # the peel cannot finish, and the exact LP fallback finds no combination
