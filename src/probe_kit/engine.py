@@ -16,6 +16,13 @@ the cumulative tables a state caches on first use (`element_table`,
 `guide_tables`), so a state the walk meets again draws without rebuilding
 them. `outcomes` enumerates the same tables: each choice `draw_choices` can
 return, with the probability that its draws give it.
+
+`apply_step` only computes a successor. `intern` is the one place that
+certifies one: it stores a state by its value (`PolicyState.key`) and runs
+the hard invariants of `_assert_state_feasible` on every state new to the
+store, so each distinct state is certified once, however often steps reach
+it. A caller that steps without a store certifies through `intern` with a
+fresh one.
 """
 
 from __future__ import annotations
@@ -227,42 +234,44 @@ def _guide_table(terms: MaskTerms, e: int) -> Optional[DrawTable]:
     return table if table[1] and table[1][-1] > 1e-15 else None
 
 
-def _pick(table: DrawTable, r: float) -> int:
-    """The first key whose running sum exceeds r."""
-    keys, sums = table
-    k = bisect_right(sums, r)
-    return keys[k] if k < len(keys) else keys[-1]  # accumulated rounding at the tail
-
-
 def select_element(state: PolicyState, rng: random.Random) -> Optional[int]:
     """Sample an element with probability x_e / Sigma; None signals termination."""
     if state.sigma <= SIGMA_EPS:
         return None
-    return _pick(state.element_table, rng.random() * state.sigma)
-
-
-def _sample_guide(table: Optional[DrawTable], rng: random.Random) -> Optional[int]:
-    """Index of a term containing the probed element, drawn by weight."""
-    if table is None:
-        return None
-    return _pick(table, rng.random() * table[1][-1])
+    keys, sums = state.element_table
+    k = bisect_right(sums, rng.random() * state.sigma)
+    return keys[k] if k < len(keys) else keys[-1]  # accumulated rounding at the tail
 
 
 def draw_choices(state: PolicyState, rng: random.Random) -> Optional[StepChoices]:
-    """Fixed draw order: element, probe outcome, outer guides, inner guides."""
+    """Fixed draw order: element, probe outcome, outer guides, inner guides.
+
+    Like the element, each guide is the first key of its table whose running
+    sum exceeds a uniform draw scaled to the table total."""
     e = select_element(state, rng)
     if e is None:
         return None
-    active = rng.random() < state.inst.p[e]
+    draw = rng.random
+    active = draw() < state.inst.p[e]
     outer_tables, inner_tables = state.guide_tables(e)
-    outer_guides = tuple([_sample_guide(t, rng) for t in outer_tables])
-    if None in outer_guides:
-        raise InvariantViolation("no outer support term contains the probed element")
-    if active:
-        inner_guides = tuple([_sample_guide(t, rng) for t in inner_tables])
-    else:
-        inner_guides = (None,) * len(inner_tables)
-    return StepChoices(e, active, outer_guides, inner_guides)
+    outer = []
+    for table in outer_tables:
+        if table is None:
+            raise InvariantViolation("no outer support term contains the probed element")
+        keys, sums = table
+        k = bisect_right(sums, draw() * sums[-1])
+        outer.append(keys[k] if k < len(keys) else keys[-1])
+    if not active:
+        return StepChoices(e, False, tuple(outer), (None,) * len(inner_tables))
+    inner = []
+    for table in inner_tables:
+        if table is None:
+            inner.append(None)
+            continue
+        keys, sums = table
+        k = bisect_right(sums, draw() * sums[-1])
+        inner.append(keys[k] if k < len(keys) else keys[-1])
+    return StepChoices(e, True, tuple(outer), tuple(inner))
 
 
 def _shares(table: Optional[DrawTable]) -> List[Tuple[Optional[int], float]]:
@@ -337,7 +346,8 @@ def apply_step(state: PolicyState, choices: StepChoices) -> PolicyState:
     inner ones of an inactive probe included) to the new master point, so
     every step keeps an exact decomposition without peeling again. Probing e
     adds it to `q_mask`, and to `s_mask` when active, which contracts it in
-    the matroids the next step reads.
+    the matroids the next step reads. The successor is not certified here:
+    `intern` certifies it when a store first takes it.
     """
     inst = state.inst
     n = inst.n
@@ -368,7 +378,7 @@ def apply_step(state: PolicyState, choices: StepChoices) -> PolicyState:
         new_x[i] = 0.0 if v <= COORD_EPS else v
     new_px = [p[i] * new_x[i] for i in range(n)]
 
-    new_state = PolicyState(
+    return PolicyState(
         inst=inst,
         x=new_x,
         q_mask=state.q_mask | ebit,
@@ -377,12 +387,25 @@ def apply_step(state: PolicyState, choices: StepChoices) -> PolicyState:
         inner_terms=[trim_masks(t, v, new_px) for t, v in zip(inner_terms, inner_implied)],
         sigma=sum(new_x),
     )
-    _assert_state_feasible(new_state)
-    return new_state
+
+
+def intern(store: dict, state: PolicyState) -> PolicyState:
+    """The state `store` holds under `state.key`. A state new to the store is
+    certified by `_assert_state_feasible` and stored first, so each state a
+    store holds was certified exactly once; an equal duplicate is dropped
+    unchecked, since every input of the certificate is in the key or fixed
+    by the instance."""
+    key = state.key
+    stored = store.get(key)
+    if stored is None:
+        _assert_state_feasible(state)
+        stored = store[key] = state
+    return stored
 
 
 def _assert_state_feasible(state: PolicyState):
-    """Hard post-step invariants; raising here indicates an engine bug."""
+    """Hard invariants of a state a step reached; raising here indicates an
+    engine bug."""
     inst = state.inst
     if state.s_mask & ~state.q_mask:
         raise InvariantViolation("success set not contained in probed set")

@@ -17,13 +17,16 @@ state because each step trims the previous ones: equal (q, s, x) reached
 along different paths may carry different decompositions and so draw
 different guides. `walk` is the one loop over that chain. It runs one trial
 from a state to termination over a transition graph: every state
-`apply_step` returns is interned in a store by its value (`PolicyState.key`)
-and recorded in the `children` of the state it came from, keyed by the drawn
-choices. A repeated step is then a draw from the state's cached tables and a
-dict lookup, and `apply_step`, with its feasibility assertion, runs once per
-distinct transition. The choices are still drawn on every step, so each
-trial consumes its chunk's RNG stream exactly as without reuse and the sums
-stay bit-identical. A walk of more than n steps raises `InvariantViolation`,
+`apply_step` returns goes through `engine.intern`, which keeps one state per
+value (`PolicyState.key`) in the graph's store and certifies each new one,
+and is recorded in the `children` of the state it came from, keyed by the
+drawn choices. A repeated step is then a draw from the state's cached tables
+and a dict lookup. `apply_step` runs once per distinct transition, and the
+feasibility assertion once per distinct state the graph holds: a successor
+equal to a stored state is dropped unchecked, since the certificate reads
+only what the key and the instance fix. The choices are still drawn on
+every step, so each trial consumes its chunk's RNG stream exactly as without
+reuse and the sums stay bit-identical. A walk of more than n steps raises `InvariantViolation`,
 since every step probes a new element. An optional sink sees each step as
 (state, choices, next state); `run_policy` uses one to record a `Trace`.
 
@@ -51,6 +54,7 @@ from .engine import (
     apply_step,
     draw_choices,
     init_state,
+    intern,
 )
 from .errors import CapabilityError, InvariantViolation
 from .instances import ProbingInstance
@@ -129,8 +133,7 @@ def walk(
     while (choices := draw_choices(state, rng)) is not None:
         nxt = state.children.get(choices)
         if nxt is None:
-            nxt = apply_step(state, choices)
-            nxt = state.children[choices] = store.setdefault(nxt.key, nxt)
+            nxt = state.children[choices] = intern(store, apply_step(state, choices))
         if sink is not None:
             sink(state, choices, nxt)
         state = nxt

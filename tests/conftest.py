@@ -39,6 +39,14 @@ def random_instance(seed, n=None, k_in=None, k_out=None, objective="linear"):
     return gen_random(n, k_in, k_out, objective, rng)
 
 
+def certified_step(state, choices):
+    """The successor `apply_step` computes, certified as `intern` certifies
+    every state new to a store: the step of a caller that keeps no transition
+    graph. Both are looked up on `probe_kit.engine`, so a test can count them."""
+    engine = probe_kit.engine
+    return engine.intern({}, engine.apply_step(state, choices))
+
+
 def mid_run_states(count, seed_base):
     """Policy states reached in 0-2 steps from solved relaxations of small
     random instances, keeping those with Sigma > 1e-6."""
@@ -61,7 +69,7 @@ def mid_run_states(count, seed_base):
             choices = engine.draw_choices(state, rng)
             if choices is None:
                 break
-            state = engine.apply_step(state, choices)
+            state = certified_step(state, choices)
         if state.sigma > 1e-6:
             states.append(state)
     return states
@@ -142,14 +150,14 @@ def draw_choices_loop(state, rng: random.Random):
 
 def simulate_value(inst: ProbingInstance, x0, rng: random.Random) -> float:
     """f(S) of one policy run with no transition graph: every step calls
-    `apply_step` afresh, looked up on `probe_kit.engine` so a test can count it."""
+    `apply_step` afresh and certifies its successor (`certified_step`)."""
     engine = probe_kit.engine
     state = engine.init_state(inst, x0)
     for _ in range(inst.n + 1):
         choices = engine.draw_choices(state, rng)
         if choices is None:
             return state.objective_value()
-        state = engine.apply_step(state, choices)
+        state = certified_step(state, choices)
     raise InvariantViolation("more steps than ground elements")
 
 

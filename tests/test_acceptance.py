@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 
-from probe_kit.engine import apply_step, outcomes, support_updates
+from probe_kit.engine import apply_step, intern, outcomes, support_updates
 from probe_kit.harness import mc_policy_value, run_policy
 from probe_kit.instances import gen_random
 from probe_kit.oracle import optimal_adaptive_value
@@ -148,9 +148,10 @@ def test_criterion_5_drift_inequalities():
         update_mean = np.zeros((inst.k_out + inst.k_in, n))
         step_mean = np.zeros(n)
         gain = drop = 0.0
+        successors = {}  # outcomes that reach one state certify it once
         for prob, choices in outcomes(state):
             e = choices.element
-            nxt = apply_step(state, choices)
+            nxt = intern(successors, apply_step(state, choices))
             total += prob
             # each matroid's support-update losses p_i (x_i - x'_i); the probed
             # element's own zeroing belongs to the probe, not to the update

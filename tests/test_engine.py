@@ -8,7 +8,6 @@ import pytest
 import probe_kit.engine
 import probe_kit.polytope
 from probe_kit.engine import (
-    apply_step,
     draw_choices,
     init_state,
     outcomes,
@@ -24,6 +23,7 @@ from probe_kit.objectives import linear_objective
 from probe_kit.relaxation import solve_relaxation
 from probe_kit.seeding import spawn_rng
 from conftest import (
+    certified_step,
     draw_choices_loop,
     mid_run_states,
     multilinear,
@@ -96,7 +96,7 @@ class TestSelection:
                     states += 1
                     if choices is None:
                         break
-                    state = apply_step(state, choices)
+                    state = certified_step(state, choices)
         assert states > 700
 
 
@@ -106,7 +106,7 @@ class TestStep:
         state = init_state(inst, [1.0])
         choices = draw_choices(state, random.Random(0))
         assert choices is not None and choices.active
-        state = apply_step(state, choices)
+        state = certified_step(state, choices)
         assert state.successes == frozenset({0})
         assert state.x == [0.0]
         assert draw_choices(state, random.Random(0)) is None
@@ -307,7 +307,7 @@ class TestTrimmedDecompositions:
                 rng = spawn_rng(case, "trim", trial)
                 state = init_state(inst, x0)
                 while (choices := draw_choices(state, rng)) is not None:
-                    state = apply_step(state, choices)
+                    state = certified_step(state, choices)
                     _assert_exact_decompositions(state)
                     steps += 1
         assert steps > 300
@@ -328,6 +328,6 @@ class TestTrimmedDecompositions:
             calls.clear()
             rng = spawn_rng(case, "no-peel")
             while (choices := draw_choices(state, rng)) is not None:
-                state = apply_step(state, choices)
+                state = certified_step(state, choices)
             assert state.q_mask  # at least one step was taken
             assert calls == []

@@ -1,6 +1,8 @@
 """Monte Carlo harness: one transition graph per experiment (per worker under
-`jobs`) keeps sums exact, runs `apply_step` once per distinct transition,
-restarts above STORE_CAP and is freed on return; the one policy walk gives
+`jobs`) keeps sums exact (pinned bit for bit on three instances), runs
+`apply_step` once per distinct transition and certifies each state it
+interns once, restarts above STORE_CAP and is freed on return; a corrupted
+successor still raises; the one policy walk gives
 traced and Monte Carlo runs the same values and stops a chain that does not
 end; each chunk seeds one RNG stream, so its sums do not depend on the worker
 or graph that walks it; `jobs` is checked and never starts more workers than
@@ -25,7 +27,8 @@ from probe_kit.harness import (
     run_policy,
     walk,
 )
-from probe_kit.relaxation import solve_relaxation
+from probe_kit.instances import gen_bipartite_matching
+from probe_kit.relaxation import relaxation_feasible, solve_relaxation
 from probe_kit.seeding import spawn_rng
 
 from conftest import random_instance, simulate_value
@@ -115,6 +118,109 @@ def test_store_cap_restarts_the_graph(monkeypatch, roots):
     monkeypatch.setattr(probe_kit.harness, "STORE_CAP", 4)
     assert mc_policy_value(inst, x0, TRIALS, 3) == expected
     assert len(roots) == 3  # every chunk boundary found more than 4 states
+
+
+def test_each_interned_state_is_certified_once(monkeypatch, roots):
+    """Across a STORE_CAP restart, the certificate runs on exactly the states
+    the graphs hold, once each, and never on a discarded duplicate."""
+    inst = random_instance(5, n=7, k_in=1, k_out=2)
+    x0 = solve_relaxation(inst).x0
+    certified, stores, computed = [], [], [0]
+    certify = probe_kit.engine._assert_state_feasible
+    intern = probe_kit.harness.intern
+    apply_step = probe_kit.harness.apply_step
+
+    def recording_certify(state):
+        certified.append(state)
+        return certify(state)
+
+    def recording_intern(store, state):
+        if not any(store is seen for seen in stores):
+            stores.append(store)
+        return intern(store, state)
+
+    def counting_apply(state, choices):
+        computed[0] += 1
+        return apply_step(state, choices)
+
+    monkeypatch.setattr(probe_kit.engine, "_assert_state_feasible", recording_certify)
+    monkeypatch.setattr(probe_kit.harness, "intern", recording_intern)
+    monkeypatch.setattr(probe_kit.harness, "apply_step", counting_apply)
+    monkeypatch.setattr(probe_kit.harness, "STORE_CAP", 4)
+    mc_policy_value(inst, x0, TRIALS, seed=1)
+    assert len(roots) == len(stores) > 1  # the graph restarted
+    interned = [state for store in stores for state in store.values()]
+    assert len(certified) == len(interned)
+    assert {id(state) for state in certified} == {id(state) for state in interned}
+    assert len(certified) < computed[0]  # some successors were duplicates
+
+
+def _nan_term_weight(state, choices):
+    """The first term with a nonempty set weighs NaN, in the first matroid
+    that has one."""
+    for terms in state.outer_terms + state.inner_terms:
+        for i, (_, mask) in enumerate(terms):
+            if mask:
+                terms[i] = (math.nan, mask)
+                return
+
+
+def _probed_coordinate_left(state, choices):
+    state.x[choices.element] = 0.25
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_nan_term_weight, "does not match master vector"),
+        (_probed_coordinate_left, "probed coordinate not zeroed"),
+    ],
+)
+@pytest.mark.parametrize("entry", ["mc_policy_value", "run_policy"])
+def test_a_corrupted_successor_raises(corrupt, message, entry, monkeypatch):
+    """A successor broken after `apply_step` computed it is caught when the
+    walk interns it, by either entry point."""
+    inst = random_instance(5, n=7, k_in=1, k_out=2)
+    x0 = solve_relaxation(inst).x0
+    apply_step = probe_kit.harness.apply_step
+
+    def corrupting_apply(state, choices):
+        nxt = apply_step(state, choices)
+        corrupt(nxt, choices)
+        return nxt
+
+    monkeypatch.setattr(probe_kit.harness, "apply_step", corrupting_apply)
+    with pytest.raises(InvariantViolation, match=message):
+        if entry == "mc_policy_value":
+            mc_policy_value(inst, x0, 10, seed=1)
+        else:
+            run_policy(inst, x0, spawn_rng(1, "corrupt"))
+
+
+# float.hex of mc_policy_value's (mean, stderr, steps_mean) at 1,100 trials
+# and seed 11, as the harness gave them before the certificate moved from
+# `apply_step` to `engine.intern`
+PINNED_SUMS = {
+    "linear": ("0x1.c4a7becf3ee5ap+1", "0x1.895e675533fb1p-6", "0x1.59a87e9a87e9bp+2"),
+    "coverage": ("0x1.491d579dfe6edp+2", "0x1.ceceea7e91a65p-6", "0x1.0403b9403b940p+2"),
+    "bipartite": ("0x1.c67509d1e9cc3p+0", "0x1.8c445005f7dc7p-6", "0x1.41bed61bed61cp+1"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SUMS))
+def test_monte_carlo_sums_are_pinned(kind):
+    if kind == "bipartite":
+        inst = gen_bipartite_matching(3, 3, [2] * 3, [1] * 3, 0.9, spawn_rng(19, "pin"))
+    else:
+        seed = {"linear": 20, "coverage": 29}[kind]
+        inst = random_instance(seed, n=8, k_in=1, k_out=1, objective=kind)
+    # the relaxation rounded to a 2^-10 grid and scaled by 63/64, which keeps
+    # it in every polytope (|E| <= 16), so the pins do not hang on the last
+    # bits of the LP solver's answer
+    x0 = [round(v * 1024) / 1024 * 63 / 64 for v in solve_relaxation(inst, cg_steps=20).x0]
+    assert relaxation_feasible(inst, x0, 0.0)
+    sums = mc_policy_value(inst, x0, TRIALS, seed=11)
+    assert tuple(v.hex() for v in sums) == PINNED_SUMS[kind]
 
 
 @pytest.mark.parametrize("seed, objective", [(5, "linear"), (8, "coverage")])
