@@ -12,7 +12,10 @@
 # explicit rank table, at the cap, with numpy; the 12-element
 # weighted-matroid-rank instance builds its value table with numpy; the
 # hand-written 3-element instance contracts element 0 of its outer matroid,
-# which must then never be probed (E[OPT] 0.5); a run with 1100 trials (three
+# which must then never be probed (E[OPT] 0.5); a hand-written 16-element
+# instance, at the cap, contracts 3 elements of its uniform outer matroid and
+# 2 of its partition inner one (verify prints ok, and run reports a null
+# oracle, since |E| is above the oracle's cap); a run with 1100 trials (three
 # chunks) writes the same report bytes under --jobs 2, a real worker pool, as
 # under --jobs 1; verify runs every check on a 16-element complete bipartite
 # matching (stdout ok, empty stderr) and exits 2 when its outer matroid is
@@ -69,6 +72,18 @@ probe-kit run --instance "$d/contracted.json" --trials 200 --seed 0 \
     --out "$d/contracted-report.json"
 python -c "import json, sys; r = json.load(open(sys.argv[1]));
 assert r['oracle_value'] == 0.5, r" "$d/contracted-report.json"
+python -c "import json, sys; json.dump({'ground': {'size': 16}, 'p': [0.6] * 16,
+'objective': {'kind': 'linear', 'weights': [1.0 + e % 5 for e in range(16)]},
+'inner': [{'kind': 'partition', 'n': 16, 'parts': [[0, 1, 2, 3], [4, 5, 6, 7],
+           [8, 9, 10, 11], [12, 13, 14, 15]], 'capacities': [2, 2, 2, 2],
+           'contracted': [4, 12]}],
+'outer': [{'kind': 'uniform', 'n': 16, 'k': 7, 'contracted': [0, 5, 10]}]},
+open(sys.argv[1], 'w'))" "$d/contracted16.json"
+test "$(probe-kit verify --instance "$d/contracted16.json")" = ok
+probe-kit run --instance "$d/contracted16.json" --trials 200 --seed 0 \
+    --out "$d/contracted16-report.json"
+python -c "import json, sys; r = json.load(open(sys.argv[1]));
+assert r['oracle_value'] is None, r" "$d/contracted16-report.json"
 for jobs in 1 2; do
     probe-kit run --instance "$d/inst.json" --trials 1100 --cg-steps 20 \
         --seed 0 --jobs "$jobs" --out "$d/jobs$jobs-report.json"

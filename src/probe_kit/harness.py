@@ -30,8 +30,9 @@ reuse and the sums stay bit-identical. A walk of more than n steps raises `Invar
 since every step probes a new element. An optional sink sees each step as
 (state, choices, next state); `run_policy` uses one to record a `Trace`.
 
-An experiment walks one graph: it builds the initial state once and adds at
-most CHUNK * n states per chunk. At a chunk boundary a graph holding more
+An experiment walks one graph: it builds the initial state once, interns it
+(so the root is certified like every other state) and adds at most
+CHUNK * n states per chunk. At a chunk boundary a graph holding more
 than STORE_CAP states is dropped and the walk starts again from a fresh
 initial state. Under `jobs` > 1 each worker walks its own graph over a
 contiguous share of the chunks. The graph is freed when the experiment
@@ -161,10 +162,9 @@ def _step_record(state: PolicyState, choices: StepChoices, nxt: PolicyState) -> 
 
 def run_policy(inst: ProbingInstance, x0, rng: random.Random) -> Trace:
     """Run the policy once to termination, recording a trace of every step."""
-    steps = []
-    state, _ = walk(
-        init_state(inst, x0), rng, {}, lambda *step: steps.append(_step_record(*step))
-    )
+    steps, store = [], {}
+    root = intern(store, init_state(inst, x0))
+    state, _ = walk(root, rng, store, lambda *step: steps.append(_step_record(*step)))
     return Trace(steps, state.successes, state.probed, state.objective_value())
 
 
@@ -176,8 +176,8 @@ def _run_chunks(inst: ProbingInstance, x0, seed: int, chunks) -> List[tuple]:
     store = {}
     for start, count in chunks:
         if root is None or len(store) > STORE_CAP:
-            root = init_state(inst, x0)
             store = {}
+            root = intern(store, init_state(inst, x0))
         rng = spawn_rng(seed, "chunk", start // CHUNK)
         total = 0.0
         total_sq = 0.0

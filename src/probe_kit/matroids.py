@@ -1,14 +1,15 @@
-"""Matroids as rank tables, contraction views, and exchange mappings between
+"""Matroids as rank tables, contraction, and exchange mappings between
 independent sets.
 
 Elements are dense integer indices 0..n-1.  Internally sets are bitmasks; the
 public API accepts any iterable of element indices.  A matroid is its rank
 table over the full 2^n lattice, built by one constructor per kind (uniform,
 partition, graphic, explicit) that also lists the kind's polytope rows and
-records its JSON form.  Contraction views share the table, which makes the
-oracles O(1) in the Monte Carlo hot loop.  The axiom check reads local
-rank conditions off the same table.  Ground sets are capped at GROUND_CAP
-elements so that table always exists.
+records its JSON form.  A contraction is a matroid with its own table, built
+in one numpy pass, so every oracle is one table lookup in the Monte Carlo
+hot loop and no other module knows a matroid was contracted.  The axiom
+check reads local rank conditions off the same table.  Ground sets are
+capped at GROUND_CAP elements so that table always exists.
 """
 
 from __future__ import annotations
@@ -78,24 +79,21 @@ class Matroid:
 
     `spec` is the matroid's JSON form, `table` the rank of every mask over the
     2^n lattice, and `rows` the masks whose rank rows cut out its polytope
-    (None: the dependent flats).  Contraction is a view that shares the table:
-    rank in M/C is r(S | C) - |C| for the (independent) contracted set C.
-    `_exchange_memo` holds the exchange maps built for this view (see
-    `_exchange_mapping_masks`); a contraction is a new view with its own.
+    (None: the dependent flats).  A contraction M/C is a matroid of its own:
+    its spec lists C under "contracted" and its table is r(S | C) - |C|, so a
+    contracted element is a loop.  `_exchange_memo` holds the exchange maps
+    built for this matroid (see `_exchange_mapping_masks`).
     """
 
-    __slots__ = ("_spec", "_tbl", "_rows", "_n", "_cmask", "_csize", "_exchange_memo")
+    __slots__ = ("_spec", "_tbl", "_rows", "_n", "_cmask", "_exchange_memo")
 
-    def __init__(self, spec: dict, table: list, rows=None, contracted_mask: int = 0):
+    def __init__(self, spec: dict, table: list, rows=None):
         self._spec = spec
         self._tbl = table
         self._rows = rows
         self._n = len(table).bit_length() - 1
-        self._cmask = contracted_mask
-        self._csize = contracted_mask.bit_count()
+        self._cmask = mask_of(spec.get("contracted", ()))
         self._exchange_memo = {}
-        if table[contracted_mask] != self._csize:
-            raise ValueError("contracted set must be independent in the base matroid")
 
     # -- public set-based API ------------------------------------------------
 
@@ -131,7 +129,7 @@ class Matroid:
         return self.rank_mask(mask)
 
     def full_rank(self) -> int:
-        return self.rank_mask(((1 << self._n) - 1) & ~self._cmask)
+        return self._tbl[-1]
 
     def contract(self, e: int) -> "Matroid":
         bit = 1 << e
@@ -140,7 +138,10 @@ class Matroid:
         self._check_subset(bit)
         if not self.indep_mask(bit):
             raise ValueError(f"cannot contract loop element {e}")
-        return Matroid(self._spec, self._tbl, self._rows, self._cmask | bit)
+        t = np.asarray(self._tbl)
+        table = t[np.arange(len(t), dtype=np.int64) | bit] - 1
+        spec = {**self._spec, "contracted": sorted(bits(self._cmask | bit))}
+        return Matroid(spec, table.tolist())
 
     def max_independent_subset(self, order: Iterable[int]) -> int:
         """Greedy: scan `order`, keep an element if it stays independent.
@@ -158,11 +159,11 @@ class Matroid:
     # -- mask-based fast path -------------------------------------------------
 
     def rank_mask(self, mask: int) -> int:
-        return self._tbl[mask | self._cmask] - self._csize
+        return self._tbl[mask]
 
     def indep_mask(self, mask: int) -> bool:
         """r(S) = |S|, so a contracted element, a loop of M/C, is dependent."""
-        return self._tbl[mask | self._cmask] - self._csize == mask.bit_count()
+        return self._tbl[mask] == mask.bit_count()
 
     def extension_masks(self) -> np.ndarray:
         """For every mask A, the mask of the elements e not in A with A + e
@@ -170,7 +171,7 @@ class Matroid:
         vector passes."""
         n = self._n
         masks = np.arange(1 << n, dtype=np.int64)
-        indep = np.asarray(self._tbl)[masks | self._cmask] - self._csize == _popcounts(n)
+        indep = np.asarray(self._tbl) == _popcounts(n)
         ext = np.zeros(1 << n, dtype=np.int64)
         for e in range(n):
             ext |= (indep[masks | 1 << e] & (masks >> e & 1 == 0)).astype(np.int64) << e
@@ -183,17 +184,14 @@ class Matroid:
         imply the rest.  Contracted elements count as loops, so they fall into
         every row's closure and x must vanish on them.
         """
-        if self._cmask or self._rows is None:
+        if self._rows is None:
             return _dependent_flats(self.rank_mask, self._n)
         return list(self._rows)
 
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        d = dict(self._spec)
-        if self._cmask:
-            d["contracted"] = sorted(bits(self._cmask))
-        return d
+        return dict(self._spec)
 
     @staticmethod
     def from_json(d: dict, path: str = "matroid") -> "Matroid":
@@ -233,8 +231,7 @@ class Matroid:
         return m
 
     def __repr__(self):
-        extra = f", contracted={sorted(bits(self._cmask))}" if self._cmask else ""
-        return f"Matroid({self._spec}{extra})"
+        return f"Matroid({self._spec})"
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +350,7 @@ def free_matroid(n: int) -> Matroid:
 
 
 def _exchange_mapping_masks(m: Matroid, amask: int, bmask: int) -> dict:
-    """The exchange map from A to B, built once per (A, B) and matroid view.
+    """The exchange map from A to B, built once per (A, B) and matroid.
 
     The memo lives as long as `m` and needs no cap: 16,384 Monte Carlo
     trials on each 12-15-element bipartite matching of the `matching-wide`
@@ -437,16 +434,16 @@ def table_gain_drops(t: np.ndarray, n: int):
 
 
 def matroid_axiom_violations(m: Matroid) -> list:
-    """Check that the view's ranks form a matroid rank function: r(empty) = 0,
+    """Check that the table's ranks form a matroid rank function: r(empty) = 0,
     every gain r(A + e) - r(A) is 0 or 1, and no gain grows as A does (checked
     on pairs e, f outside A).  One problem per failing element or pair, naming
     the first failing A.  For the explicit kind, r(A) is the size of the
     largest member of the family inside A, so these hold exactly when the
     family is a matroid; the other kinds build true rank functions.
-    Contracted elements are loops of the view, so they pass.
+    Contracted elements are loops, so they pass.
     """
     n = m.ground_size
-    r = np.asarray(m._tbl)[np.arange(1 << n, dtype=np.int64) | m._cmask] - m._csize
+    r = np.asarray(m._tbl)
     problems = []
     if r[0]:
         problems.append("r(empty) != 0")

@@ -2,14 +2,15 @@
 the exchange-guided support update applied after each probe, and the trim
 that turns the updated decomposition into one of the new point.
 
-A fractional point is a length-n sequence of reals in [0,1] (coordinates of
-contracted elements must be 0).  A decomposition is a list of
-(weight, bitmask) terms with weights summing to 1.  Membership and peeling
-enumerate subsets of the support, which is the intended exact mode at desk
-scale: every matroid has a rank table (its ground set is at most GROUND_CAP
-elements), so each rank query is one table lookup.  The support update
-reads a policy state's contraction as a mask (`contracted`) against the
-instance's matroid, so no contracted copy is built per step.
+A fractional point is a length-n sequence of reals in [0,1].  A
+decomposition is a list of (weight, bitmask) terms with weights summing to
+1.  Membership and peeling enumerate subsets of the support, which is the
+intended exact mode at desk scale: every matroid has a rank table (its
+ground set is at most GROUND_CAP elements), so each rank query is one table
+lookup.  A contracted matroid is no different here: its contracted elements
+are loops of its table, so their rank rows force x to vanish on them.  The
+support update reads a policy state's contraction as a mask (`contracted`)
+against the instance's matroid, so no contracted copy is built per step.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .matroids import Matroid, _exchange_mapping_masks, bits, mask_of
+from .matroids import Matroid, _exchange_mapping_masks, bits
 
 EPS = 1e-9
 MAX_PEEL_FACTOR = 6  # peel iterations allowed per support element before LP fallback
@@ -42,19 +43,17 @@ def in_polytope(m: Matroid, x: Sequence[float], tol: float = EPS) -> bool:
 
     It suffices to check subsets of the support; any violated constraint
     restricted to the support is at least as violated.  A NaN or infinite
-    coordinate is outside.
+    coordinate is outside.  A loop e, a contracted element among them, has
+    the row x_e <= 0.
     """
     n = m.ground_size
     if len(x) != n:
         raise ValueError(f"point has dimension {len(x)}, matroid ground size {n}")
-    cmask = mask_of(m.contracted)
     support = 0
     for i, v in enumerate(x):
         if v < -tol or not math.isfinite(v):
             return False
         if v > tol:
-            if cmask >> i & 1:
-                return False
             support |= 1 << i
     return _max_violation(m, x, support) <= tol
 
@@ -161,18 +160,13 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
     if not all(map(math.isfinite, x)):
         raise ValueError("point has a non-finite coordinate")
     n = m.ground_size
-    residual = [min(max(float(v), 0.0), 1.0) for v in x]
-    for i, v in enumerate(residual):
-        if v <= EPS:
-            residual[i] = 0.0
+    target = [min(max(float(v), 0.0), 1.0) for v in x]
+    residual = [v if v > EPS else 0.0 for v in target]
     w_rem = 1.0
     terms: MaskTerms = []
     support = _support_mask(residual)
     max_iters = MAX_PEEL_FACTOR * max(1, support.bit_count())
-    # local binds for the submask-enumeration hot loop
-    tbl = m._tbl
-    cmask = m._cmask
-    csize = m._csize
+    tbl = m._tbl  # local bind for the submask-enumeration hot loop
     for _ in range(max_iters):
         if not support:
             break
@@ -181,7 +175,7 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
         beta = min(w_rem, min(residual[i] for i in bits(bmask)))
         sub = support
         while sub:
-            ra = tbl[sub | cmask] - csize
+            ra = tbl[sub]
             inter = (sub & bmask).bit_count()
             if ra > inter:
                 xa = 0.0
@@ -213,8 +207,7 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
     if len(terms) > n + 1:
         terms = _caratheodory_reduce(terms, n)
     # certify the round trip; fall back to the exact fit if peeling drifted
-    implied = implied_vector_masks(terms, n)
-    if any(abs(implied[i] - min(max(float(x[i]), 0.0), 1.0)) > EPS for i in range(n)):
+    if not within(implied_vector_masks(terms, n), target, EPS):
         return _decompose_lp(m, x)
     return terms
 

@@ -1,8 +1,8 @@
 """Monte Carlo harness: one transition graph per experiment (per worker under
 `jobs`) keeps sums exact (pinned bit for bit on three instances), runs
 `apply_step` once per distinct transition and certifies each state it
-interns once, restarts above STORE_CAP and is freed on return; a corrupted
-successor still raises; the one policy walk gives
+interns once, the root included, restarts above STORE_CAP and is freed on
+return; a corrupted successor or root raises; the one policy walk gives
 traced and Monte Carlo runs the same values and stops a chain that does not
 end; each chunk seeds one RNG stream, so its sums do not depend on the worker
 or graph that walks it; `jobs` is checked and never starts more workers than
@@ -153,6 +153,28 @@ def test_each_interned_state_is_certified_once(monkeypatch, roots):
     assert len(certified) == len(interned)
     assert {id(state) for state in certified} == {id(state) for state in interned}
     assert len(certified) < computed[0]  # some successors were duplicates
+
+
+@pytest.mark.parametrize("entry", ["mc_policy_value", "run_policy"])
+def test_an_uncertified_root_raises(entry, monkeypatch):
+    """A root whose outer decomposition implies 0.9·x is caught when its
+    graph interns it, by either entry point; the first step's reconcile
+    would otherwise absorb the mismatch."""
+    inst = random_instance(20, n=8, k_in=1, k_out=1)
+    x0 = solve_relaxation(inst).x0
+
+    def shrunk_root(inst, x0):
+        root = init_state(inst, x0)
+        root.outer_terms[0] = [(0.9 * w, mask) for w, mask in root.outer_terms[0]]
+        root.outer_terms[0].append((0.1, 0))
+        return root
+
+    monkeypatch.setattr(probe_kit.harness, "init_state", shrunk_root)
+    with pytest.raises(InvariantViolation, match="does not match master vector"):
+        if entry == "mc_policy_value":
+            mc_policy_value(inst, x0, 500, seed=1)
+        else:
+            run_policy(inst, x0, spawn_rng(1, "root"))
 
 
 def _nan_term_weight(state, choices):

@@ -15,12 +15,14 @@ from probe_kit.matroids import (
     Matroid,
     _build_exchange_mapping,
     _exchange_mapping_masks,
+    bits,
     explicit_matroid,
     free_matroid,
     graphic_matroid,
     mask_of,
     matroid_axiom_violations,
     partition_matroid,
+    set_of,
     uniform_matroid,
     _dependent_flats,
 )
@@ -103,6 +105,30 @@ class TestContraction:
                         if mask & ((1 << e) | (1 << f)):
                             continue
                         assert a.indep_mask(mask) == b.indep_mask(mask)
+        # random matroids and independent sets C, contracted in two random
+        # orders: m/C's table is m's shifted by C in either order, m's own
+        # table is untouched, and the JSON form round-trips
+        rng = random.Random(20)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            m = _random_matroid(n, rng)
+            before = list(m._tbl)
+            cmask = m.max_independent_subset(rng.sample(range(n), rng.randint(0, n)))
+            c = list(bits(cmask))
+            contracted = []
+            for order in (rng.sample(c, len(c)), rng.sample(c, len(c))):
+                mc = m
+                for e in order:
+                    mc = mc.contract(e)
+                contracted.append(mc)
+            a, b = contracted
+            assert a._tbl == [m._tbl[s | cmask] - len(c) for s in range(1 << n)]
+            assert m._tbl == before
+            assert a._tbl == b._tbl
+            assert a.contracted == set_of(cmask)
+            assert a.to_json() == b.to_json()
+            loaded = Matroid.from_json(a.to_json())
+            assert (loaded._tbl, loaded.to_json()) == (a._tbl, a.to_json())
 
     def test_contracting_loop_rejected(self):
         m = explicit_matroid(2, [[], [0]])
@@ -118,12 +144,12 @@ class TestContraction:
         assert m.extension_masks()[0] == 0b1110
 
     def test_greedy_skips_contracted_elements(self):
-        views = [
+        matroids = [
             uniform_matroid(4, 3).contract(1),
             partition_matroid(5, [[0, 1], [2, 3, 4]], [1, 2]).contract(2).contract(4),
             graphic_matroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)]).contract(0),
         ]
-        for m in views:
+        for m in matroids:
             cmask = mask_of(m.contracted)
             for order in itertools.permutations(range(m.ground_size)):
                 assert not m.max_independent_subset(order) & cmask
@@ -233,7 +259,7 @@ class TestAxioms:
 
     def test_table_check_agrees_with_the_pair_walk(self):
         # random downward closures of a few sets, matroids or not, and
-        # contracted views of random matroids
+        # contractions of random matroids
         rng = random.Random(17)
         verdicts = []
         for _ in range(300):

@@ -208,7 +208,8 @@ class TestSupportUpdate:
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 10_000))
     def test_contraction_mask_equals_contracted_view(self, seed):
-        # a contraction set C passed as a mask updates as on m/C
+        # a contraction set C passed as a mask updates as on m/C, whose rank
+        # table `contract` built on its own, not a view over m's table
         rng = random.Random(seed)
         m = _random_matroid(rng)
         view, contracted = m, 0
