@@ -63,9 +63,14 @@ def cmd_generate(kind, size, k_in, k_out, objective, edge_prob, patience, price_
     elif kind == "bipartite":
         inst = gen_bipartite_matching(
             size, size, [patience] * size, [patience] * size, edge_prob, rng,
-            objective_kind=objective if objective in ("linear", "coverage") else "linear",
+            objective_kind=objective,
         )
     else:
+        if objective != "linear":
+            raise click.BadParameter(
+                "posted pricing earns the posted prices, a linear objective",
+                param_hint="'--objective'",
+            )
         pmfs = []
         for _ in range(size):
             raw = [rng.random() + 0.05 for _ in range(price_levels + 1)]
@@ -73,7 +78,7 @@ def cmd_generate(kind, size, k_in, k_out, objective, edge_prob, patience, price_
             pmf = [round(v / total, 6) for v in raw]
             pmf[-1] = 1.0 - sum(pmf[:-1])
             pmfs.append(pmf)
-        inst = gen_posted_pricing(size, price_levels, uniform_matroid(size, max(1, size // 2)), pmfs, rng)
+        inst = gen_posted_pricing(size, price_levels, uniform_matroid(size, max(1, size // 2)), pmfs)
     inst.metadata["seed"] = seed
     inst.save(out)
     click.echo(f"wrote {out} (|E|={inst.n}, k_in={inst.k_in}, k_out={inst.k_out})")

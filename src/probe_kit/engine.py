@@ -48,7 +48,6 @@ from .polytope import (
     within,
 )
 
-SIGMA_EPS = 1e-9
 COORD_EPS = 1e-9
 
 # keys in draw order, with the running sum of their weights after each key
@@ -70,7 +69,6 @@ class PolicyState:
     s_mask: int
     outer_terms: List[MaskTerms]
     inner_terms: List[MaskTerms]
-    sigma: float
     # successor per drawn StepChoices, filled by `harness.walk`
     children: Dict[StepChoices, "PolicyState"] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -99,6 +97,12 @@ class PolicyState:
     def element_table(self) -> DrawTable:
         """The elements with x_e > 0 and the running sums of x over them."""
         return _draw_table((i, v) for i, v in enumerate(self.x) if v > 0.0)
+
+    @property
+    def sigma(self) -> float:
+        """Sigma = sum of x, the element table's total (0.0 at termination)."""
+        sums = self.element_table[1]
+        return sums[-1] if sums else 0.0
 
     def guide_tables(self, e: int) -> tuple:
         """(outer, inner): per matroid, the draw table of the terms containing
@@ -174,28 +178,17 @@ class Trace:
 
 
 def potential(state: PolicyState) -> float:
-    """z: the residual fractional value coupled to future gains.
+    """z = F(1_S + p*x) - f(S): the residual fractional value coupled to
+    future gains, for S the successes and F the exact multilinear extension.
 
-    Linear objective: sum p_e w_e x_e.  Submodular: F(1_S + p*x) - F(1_S),
-    exact multilinear mode.
+    For a linear objective this is sum p_e w_e x_e; at the root it is the
+    relaxation value F(p*x0) (the LP value, for a linear objective).
     """
     inst = state.inst
+    p, x, s_mask = inst.p, state.x, state.s_mask
+    y = [1.0 if s_mask >> i & 1 else p[i] * x[i] for i in range(inst.n)]
     table = inst.objective.value_table()
-    if inst.objective.is_linear:  # w_e = f({e})
-        return sum(inst.p[i] * table[1 << i] * state.x[i] for i in bits_of_support(state.x))
-    y = [0.0] * inst.n
-    for i in bits(state.s_mask):
-        y[i] = 1.0
-    for i, v in enumerate(state.x):
-        if v > 0.0:
-            y[i] = inst.p[i] * v
-    return multilinear_value_from_table(table, y) - table[state.s_mask]
-
-
-def bits_of_support(x: Sequence[float]):
-    for i, v in enumerate(x):
-        if v > 0.0:
-            yield i
+    return multilinear_value_from_table(table, y) - table[s_mask]
 
 
 def init_state(inst: ProbingInstance, x0: Sequence[float]) -> PolicyState:
@@ -213,7 +206,6 @@ def init_state(inst: ProbingInstance, x0: Sequence[float]) -> PolicyState:
         s_mask=0,
         outer_terms=[decompose_masks(m, x) for m in inst.outer],
         inner_terms=[decompose_masks(m, px) for m in inst.inner],
-        sigma=sum(x),
     )
 
 
@@ -235,11 +227,14 @@ def _guide_table(terms: MaskTerms, e: int) -> Optional[DrawTable]:
 
 
 def select_element(state: PolicyState, rng: random.Random) -> Optional[int]:
-    """Sample an element with probability x_e / Sigma; None signals termination."""
-    if state.sigma <= SIGMA_EPS:
-        return None
+    """Sample an element with probability x_e / Sigma; None signals termination.
+
+    The walk ends when x has no positive coordinate left; every positive
+    coordinate exceeds COORD_EPS, since steps zero the smaller ones."""
     keys, sums = state.element_table
-    k = bisect_right(sums, rng.random() * state.sigma)
+    if not keys:
+        return None
+    k = bisect_right(sums, rng.random() * sums[-1])
     return keys[k] if k < len(keys) else keys[-1]  # accumulated rounding at the tail
 
 
@@ -291,7 +286,7 @@ def outcomes(state: PolicyState) -> Iterator[Tuple[float, StepChoices]]:
     are read from the tables `draw_choices` bisects, and the probe is active
     with probability p_e.
     """
-    if state.sigma <= SIGMA_EPS:
+    if not state.element_table[0]:
         return
     p = state.inst.p
     for e, share in _shares(state.element_table):
@@ -385,7 +380,6 @@ def apply_step(state: PolicyState, choices: StepChoices) -> PolicyState:
         s_mask=(state.s_mask | ebit) if choices.active else state.s_mask,
         outer_terms=[trim_masks(t, v, new_x) for t, v in zip(outer_terms, outer_implied)],
         inner_terms=[trim_masks(t, v, new_px) for t, v in zip(inner_terms, inner_implied)],
-        sigma=sum(new_x),
     )
 
 

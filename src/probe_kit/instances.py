@@ -9,7 +9,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .matroids import (
     Matroid,
@@ -169,7 +169,6 @@ def gen_posted_pricing(
     price_levels: int,
     feasibility: Matroid,
     valuation_pmfs: Sequence[Sequence[float]],
-    rng: Optional[random.Random] = None,
 ) -> ProbingInstance:
     """Sequential posted pricing as probing over offers (agent, price).
 

@@ -7,6 +7,10 @@ against GROUND_CAP and builds the table with numpy passes over all masks.
 Each entry is a sum of weights added in ascending index order from 0.0, so it
 equals Python's `sum` over the same weights bit for bit.  The structure check
 reads normalization, monotonicity and submodularity off the table.
+
+F(y) is the one evaluator of the multilinear extension: the product weights
+Pr_y[R] over all 2^n masks, dotted with the table.  Continuous greedy and the
+policy's potential both read F through it.
 """
 
 from __future__ import annotations
@@ -144,37 +148,30 @@ def weighted_rank_objective(matroid: Matroid, weights: Sequence[float]) -> Objec
 # ---------------------------------------------------------------------------
 
 
-def _split_point(y: Sequence[float]):
-    base = 0
-    frac = []
-    for i, v in enumerate(y):
-        if not -1e-12 <= v <= 1 + 1e-12:
-            raise ValueError("multilinear argument must lie in the unit cube")
-        if v >= 1.0:
-            base |= 1 << i
-        elif v > 0.0:
-            frac.append((i, float(v)))
-    return base, frac
+def product_weights(q: Sequence[float]) -> np.ndarray:
+    """Pr[R] for every mask R when each i joins R independently with probability q_i.
+
+    Built by n doublings; index R of the flat result is the mask R.
+    """
+    w = np.ones(1)
+    for qi in q:
+        w = np.concatenate((w * (1.0 - qi), w * qi))
+    return w
 
 
 def multilinear_value_from_table(table: Sequence[float], y: Sequence[float]) -> float:
-    """F(y) = sum over masks R of Pr_y[R] * f(R) from the value table of f,
-    enumerating only the fractional coordinates of y."""
-    base, frac = _split_point(y)
-    total = 0.0
-    k = len(frac)
-    for sub in range(1 << k):
-        mask = base
-        prob = 1.0
-        for j in range(k):
-            i, v = frac[j]
-            if sub >> j & 1:
-                mask |= 1 << i
-                prob *= v
-            else:
-                prob *= 1.0 - v
-        total += prob * table[mask]
-    return total
+    """F(y) = sum over masks R of Pr_y[R] * f(R): the product weights of y
+    dotted with the value table of f, one entry per mask of the 2^n lattice.
+
+    Raises ValueError when y lies outside the unit cube by more than 1e-12,
+    and when the table does not have 2^len(y) entries.
+    """
+    y = np.asarray(y, dtype=float)
+    if not np.all((y >= -1e-12) & (y <= 1 + 1e-12)):
+        raise ValueError("multilinear argument must lie in the unit cube")
+    if len(table) != 1 << len(y):
+        raise ValueError("value table and argument differ in dimension")
+    return float(product_weights(np.clip(y, 0.0, 1.0)) @ np.asarray(table, dtype=float))
 
 
 # ---------------------------------------------------------------------------

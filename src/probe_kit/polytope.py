@@ -112,6 +112,13 @@ def _merge_terms(terms: MaskTerms) -> MaskTerms:
     return out or [(1.0, 0)]
 
 
+def _incidence(masks: Sequence[int], n: int) -> np.ndarray:
+    """The (n+1) x len(masks) matrix whose column j is the indicator vector of
+    masks[j] over 0..n-1 followed by a 1."""
+    cols = np.asarray(masks, dtype=np.int64)
+    return np.vstack(((cols >> np.arange(n)[:, None]) & 1, np.ones(len(cols))))
+
+
 def _caratheodory_reduce(terms: MaskTerms, n: int) -> MaskTerms:
     """Shrink a convex combination to at most n+1 terms without moving x.
 
@@ -120,12 +127,7 @@ def _caratheodory_reduce(terms: MaskTerms, n: int) -> MaskTerms:
     """
     terms = _merge_terms(terms)
     while len(terms) > n + 1:
-        a = np.zeros((n + 1, len(terms)))
-        for j, (_, mask) in enumerate(terms):
-            for i in bits(mask):
-                a[i, j] = 1.0
-            a[n, j] = 1.0
-        _, _, vt = np.linalg.svd(a)
+        _, _, vt = np.linalg.svd(_incidence([mask for _, mask in terms], n))
         gamma = vt[-1]
         if np.max(np.abs(gamma)) < 1e-12:
             break
@@ -189,7 +191,7 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
                     beta = cap
             sub = (sub - 1) & support
         if beta <= 1e-12:
-            return _decompose_lp(m, x)
+            return _decompose_lp(m, target)
         terms.append((beta, bmask))
         w_rem -= beta
         for i in bits(bmask):
@@ -200,7 +202,7 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
         if w_rem <= EPS:
             break
     if support:
-        return _decompose_lp(m, x)
+        return _decompose_lp(m, target)
     if w_rem > 0.0:
         terms.append((w_rem, 0))
     terms = _merge_terms(terms)
@@ -208,13 +210,14 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
         terms = _caratheodory_reduce(terms, n)
     # certify the round trip; fall back to the exact fit if peeling drifted
     if not within(implied_vector_masks(terms, n), target, EPS):
-        return _decompose_lp(m, x)
+        return _decompose_lp(m, target)
     return terms
 
 
 def _decompose_lp(m: Matroid, x: Sequence[float]) -> MaskTerms:
     """Exact fallback: nonnegative least squares over all independent subsets
     of supp(x), with one least-squares refinement on the columns it keeps.
+    `x` is the point `decompose_masks` clamped into [0, 1].
 
     Raises ValueError when no convex combination of them is within EPS of x.
     The kept columns are distinct and linearly independent, so there are at
@@ -230,12 +233,8 @@ def _decompose_lp(m: Matroid, x: Sequence[float]) -> MaskTerms:
         if m.indep_mask(sub):
             columns.append(sub)
         sub = (sub - 1) & support
-    a = np.zeros((n + 1, len(columns)))
-    for j, mask in enumerate(columns):
-        for i in bits(mask):
-            a[i, j] = 1.0
-        a[n, j] = 1.0
-    b = np.array([min(max(float(v), 0.0), 1.0) for v in x] + [1.0])
+    a = _incidence(columns, n)
+    b = np.append(x, 1.0)
     w, residual = nnls(a, b)
     if residual > EPS:
         raise ValueError("point is not in the matroid polytope")

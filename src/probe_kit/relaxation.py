@@ -12,7 +12,7 @@ import numpy as np
 
 from .instances import ProbingInstance
 from .matroids import bits
-from .objectives import multilinear_value_from_table
+from .objectives import multilinear_value_from_table, product_weights
 from .polytope import in_polytope
 
 FEAS_TOL = 1e-7
@@ -135,17 +135,6 @@ def solve_relaxation_lp(inst: ProbingInstance) -> RelaxedSolution:
     )
 
 
-def _product_weights(q: np.ndarray) -> np.ndarray:
-    """Pr[R] for every mask R when each i joins R independently with probability q_i.
-
-    Built by n doublings; index R of the flat result is the mask R.
-    """
-    w = np.ones(1)
-    for qi in q:
-        w = np.concatenate((w * (1.0 - qi), w * qi))
-    return w
-
-
 def _gradient_matrix(table: np.ndarray, p: np.ndarray) -> np.ndarray:
     """J[e, R] = p_e * (table[R | e] - table[R - e]) for every e and mask R.
 
@@ -197,30 +186,31 @@ def continuous_greedy(inst: ProbingInstance, steps: int = 200) -> RelaxedSolutio
     direction and moves y a 1/steps fraction towards it; the final y is an
     average of feasible points, hence feasible.  With w the product weights
     of p * y over all masks, the scaled gradient p_e dF/dy_e is one matrix
-    product J @ w, with J from `_gradient_matrix` built once per run.  The
-    LP is solved again only when the previous vertex stops being optimal for
-    the new gradient, which happens only a few times over a run; the
+    product J @ w, with J from `_gradient_matrix` built once per run, and
+    each step's value F(p * y) is w @ f, the formula of
+    `multilinear_value_from_table`, read off the same weights.  The LP is
+    solved again only when the previous vertex stops being optimal for the
+    new gradient, which happens only a few times over a run; the
     certificate's tight normals are built once per solved vertex.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     n = inst.n
-    table = inst.objective.value_table()
     a_ub, b_ub = _polytope_rows(inst)
     p = np.asarray(inst.p, dtype=float)
-    flat = np.asarray(table, dtype=float)
+    flat = np.asarray(inst.objective.value_table(), dtype=float)
     grad = _gradient_matrix(flat, p)
     y = np.zeros(n)
-    weights = _product_weights(p * y)
+    weights = product_weights(p * y)
     vertex = None
     values = []
     for _ in range(steps):
         vertex = _greedy_vertex(grad @ weights, vertex, a_ub, b_ub)
         y = y + vertex[0] / steps
-        weights = _product_weights(p * y)
+        weights = product_weights(p * y)
         values.append(float(weights @ flat))
     x0 = _repair_point(inst, np.clip(y, 0.0, 1.0))
-    final_value = multilinear_value_from_table(table, p * x0)
+    final_value = multilinear_value_from_table(flat, p * x0)
     return RelaxedSolution(
         x0=x0,
         objective_value=final_value,

@@ -13,7 +13,7 @@ import probe_kit.engine
 from probe_kit.errors import CapabilityError, InvariantViolation
 from probe_kit.instances import ProbingInstance, gen_random
 from probe_kit.matroids import Matroid, _exchange_mapping_masks, bits, mask_of, set_of
-from probe_kit.objectives import Objective, multilinear_value_from_table
+from probe_kit.objectives import Objective
 from probe_kit.oracle import _AdaptiveDP
 from probe_kit.relaxation import (
     LinearProgram,
@@ -75,11 +75,35 @@ def mid_run_states(count, seed_base):
     return states
 
 
-def multilinear(f: Objective, y: Sequence[float]) -> float:
-    """F(y), exact, from the value table of f."""
-    if len(y) != f.n:
+def multilinear(f, y: Sequence[float]) -> float:
+    """F(y), exact, for an Objective or its value table `f`: the sum of
+    Pr_y[R] f(R) over the 2^k sets R that agree with y's integral
+    coordinates, for the k fractional ones. The loop reference for the
+    product-weight dot of `multilinear_value_from_table`."""
+    table = f.value_table() if isinstance(f, Objective) else f
+    if len(table) != 1 << len(y):
         raise ValueError("dimension mismatch")
-    return multilinear_value_from_table(f.value_table(), y)
+    base = 0
+    frac = []
+    for i, v in enumerate(y):
+        if not -1e-12 <= v <= 1 + 1e-12:
+            raise ValueError("multilinear argument must lie in the unit cube")
+        if v >= 1.0:
+            base |= 1 << i
+        elif v > 0.0:
+            frac.append((i, float(v)))
+    total = 0.0
+    for sub in range(1 << len(frac)):
+        mask = base
+        prob = 1.0
+        for j, (i, v) in enumerate(frac):
+            if sub >> j & 1:
+                mask |= 1 << i
+                prob *= v
+            else:
+                prob *= 1.0 - v
+        total += prob * table[mask]
+    return total
 
 
 def partial_derivative(f, y, e):

@@ -13,6 +13,7 @@ import numpy as np
 from probe_kit.engine import apply_step, intern, outcomes, support_updates
 from probe_kit.harness import mc_policy_value, run_policy
 from probe_kit.instances import gen_random
+from probe_kit.objectives import multilinear_value_from_table
 from probe_kit.oracle import optimal_adaptive_value
 from probe_kit.polytope import decompose_masks, implied_vector_masks
 from probe_kit.relaxation import (
@@ -28,7 +29,6 @@ from conftest import (
     lp_optimum,
     max_f_plus_over_polytope,
     mid_run_states,
-    multilinear,
     multilinear_sample,
 )
 
@@ -264,6 +264,10 @@ def test_criterion_6_structural_invariants():
 
 def test_criterion_7_multilinear_correctness():
     """Extension property, monotone/submodular derivative signs, sampling."""
+
+    def F(f, y):
+        return multilinear_value_from_table(f.value_table(), y)
+
     rng = random.Random(707)
     objectives = []
     for seed in range(6):
@@ -278,7 +282,7 @@ def test_criterion_7_multilinear_correctness():
         table = f.value_table()
         for mask in range(1 << f.n):
             y = [1.0 if mask >> i & 1 else 0.0 for i in range(f.n)]
-            assert abs(multilinear(f, y) - table[mask]) <= 1e-12
+            assert abs(F(f, y) - table[mask]) <= 1e-12
 
     # first derivatives nonnegative, mixed second differences nonpositive
     probes = 0
@@ -291,10 +295,10 @@ def test_criterion_7_multilinear_correctness():
         y_eg[e], y_eg[g] = 1.0, 0.0
         y_ge[e], y_ge[g] = 0.0, 1.0
         y_gg[e], y_gg[g] = 0.0, 0.0
-        v_ee = multilinear(f, y_ee)
-        v_eg = multilinear(f, y_eg)
-        v_ge = multilinear(f, y_ge)
-        v_gg = multilinear(f, y_gg)
+        v_ee = F(f, y_ee)
+        v_eg = F(f, y_eg)
+        v_ge = F(f, y_ge)
+        v_gg = F(f, y_gg)
         assert v_eg - v_gg >= -1e-12  # dF/dy_e >= 0
         assert v_ee - v_eg - v_ge + v_gg <= 1e-12  # d2F/dy_e dy_g <= 0
         probes += 1
@@ -303,7 +307,7 @@ def test_criterion_7_multilinear_correctness():
     for k in range(100):
         f = objectives[k % len(objectives)]
         y = [rng.random() for _ in range(f.n)]
-        exact = multilinear(f, y)
+        exact = F(f, y)
         got = multilinear_sample(f, y, 3000, rng)
         assert abs(got.value - exact) <= 4 * got.stderr + 1e-9
     _report("7 multilinear correctness", True, "1000 probes, 100 sampled points")

@@ -63,6 +63,28 @@ class TestGenerate:
             assert code == 0
             ProbingInstance.load(out)  # parses and validates
 
+    @pytest.mark.parametrize(
+        "kind, objective, message",
+        [
+            ("bipartite", "weighted_matroid_rank", "unsupported objective kind"),
+            ("posted-pricing", "coverage", "Invalid value for '--objective'"),
+        ],
+        ids=["bipartite-rank", "posted-pricing-coverage"],
+    )
+    def test_unsupported_objective_is_usage_error(
+        self, tmp_path, capsys, kind, objective, message
+    ):
+        # the generator must not write an instance of another objective kind
+        out = tmp_path / "x.json"
+        code, stdout, stderr = _run(
+            capsys, "generate", "--kind", kind, "--objective", objective,
+            "--size", "2", "--out", str(out),
+        )
+        assert code == 1
+        assert stderr.startswith("error: ") and message in stderr
+        assert stdout == ""
+        assert not out.exists()
+
     def test_unknown_kind_is_usage_error(self, tmp_path, capsys):
         code, _, _ = _run(
             capsys, "generate", "--kind", "nonsense", "--out", str(tmp_path / "x.json")

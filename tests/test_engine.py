@@ -8,6 +8,7 @@ import pytest
 import probe_kit.engine
 import probe_kit.polytope
 from probe_kit.engine import (
+    COORD_EPS,
     draw_choices,
     init_state,
     outcomes,
@@ -244,6 +245,19 @@ class TestPotential:
         assert potential(state) == pytest.approx(
             multilinear(inst.objective, px), abs=1e-9
         )
+
+    def test_root_potential_is_the_relaxation_value(self):
+        # z(root) = F(p * x0), bit for bit, when init_state zeroes no coordinate
+        checked = 0
+        for seed in range(40):
+            objective = ("coverage", "weighted_matroid_rank")[seed % 2]
+            inst = random_instance(600 + seed, objective=objective)
+            sol = solve_relaxation(inst, cg_steps=30)
+            if any(0.0 < v <= COORD_EPS for v in sol.x0):
+                continue
+            assert potential(init_state(inst, sol.x0)) == sol.objective_value
+            checked += 1
+        assert checked >= 30
 
     def test_potential_is_computed_on_first_access_only(self, monkeypatch):
         inst = random_instance(11, objective="coverage")

@@ -17,6 +17,7 @@ from probe_kit.objectives import (
     Objective,
     coverage_objective,
     linear_objective,
+    multilinear_value_from_table,
     objective_structure_violations,
     weighted_rank_objective,
 )
@@ -185,21 +186,25 @@ class TestValueTable:
         self._assert_table(_random_objective(random.Random(f"cap-{kind}"), 16, kind))
 
 
+def _F(f, y):
+    return multilinear_value_from_table(f.value_table(), y)
+
+
 class TestMultilinearExact:
     def test_extension_property_on_indicators(self):
         f = coverage_objective([[0], [0, 1], [1]], [1.0, 2.0])
         for mask in range(1 << f.n):
             y = [1.0 if mask >> i & 1 else 0.0 for i in range(f.n)]
-            assert multilinear(f, y) == pytest.approx(f.value_mask(mask), abs=1e-12)
+            assert _F(f, y) == pytest.approx(f.value_mask(mask), abs=1e-12)
 
     def test_linear_is_expectation(self):
         f = linear_objective([1.0, 2.0])
-        assert multilinear(f, [0.5, 0.5]) == pytest.approx(1.5)
+        assert _F(f, [0.5, 0.5]) == pytest.approx(1.5)
 
     def test_coverage_of_shared_item(self):
         # f(S) = min(|S|, 1): F(0.5, 0.5) = 0.25*0 + 0.5*1 + 0.25*1
         f = coverage_objective([[0], [0]], [1.0])
-        assert multilinear(f, [0.5, 0.5]) == pytest.approx(0.75)
+        assert _F(f, [0.5, 0.5]) == pytest.approx(0.75)
 
     def test_above_ground_cap_rejected(self):
         # no objective above the ground cap is built, so none lacks a table
@@ -208,8 +213,20 @@ class TestMultilinearExact:
 
     def test_argument_outside_cube_rejected(self):
         f = linear_objective([1.0])
-        with pytest.raises(ValueError):
-            multilinear(f, [1.5])
+        for y in ([1.5], [-1e-9], [float("nan")]):
+            with pytest.raises(ValueError, match="unit cube"):
+                _F(f, y)
+
+    def test_cube_tolerance_is_clipped(self):
+        f = linear_objective([2.0])
+        assert _F(f, [1 + 1e-13]) == 2.0
+        assert _F(f, [-1e-13]) == 0.0
+
+    @pytest.mark.parametrize("y", [[0.5], [0.5, 0.5, 0.5], []])
+    def test_length_mismatch_rejected(self, y):
+        f = linear_objective([1.0, 2.0])
+        with pytest.raises(ValueError, match="dimension"):
+            _F(f, y)
 
 
 class TestMultilinearSample:
@@ -255,7 +272,7 @@ class TestPartialDerivative:
         y = [0.3, 0.4]
         for h in (0.1, 0.5):
             hi = [y[0], y[1] + h]
-            fd = (multilinear(f, hi) - multilinear(f, y)) / h
+            fd = (_F(f, hi) - _F(f, y)) / h
             assert fd == pytest.approx(partial_derivative(f, y, 1), abs=1e-12)
 
 

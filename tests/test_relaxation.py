@@ -13,13 +13,13 @@ from probe_kit.objectives import (
     coverage_objective,
     linear_objective,
     multilinear_value_from_table,
+    product_weights,
 )
 from probe_kit.oracle import optimal_adaptive_value
 from probe_kit.relaxation import (
     LinearProgram,
     _gradient_matrix,
     _polytope_rows,
-    _product_weights,
     _repair_point,
     build_probing_lp,
     continuous_greedy,
@@ -32,6 +32,7 @@ from conftest import (
     enumerate_basic_solutions,
     lp_optimum,
     max_f_plus_over_polytope,
+    multilinear,
     partial_derivative,
     random_instance,
 )
@@ -261,14 +262,11 @@ def _reference_continuous_greedy(inst, steps):
             hi = py.copy()
             lo = py.copy()
             hi[e], lo[e] = 1.0, 0.0
-            grad = multilinear_value_from_table(table, hi) - multilinear_value_from_table(
-                table, lo
-            )
-            omega[e] = p[e] * grad
+            omega[e] = p[e] * (multilinear(table, hi) - multilinear(table, lo))
         v, _ = solve_lp(LinearProgram(c=omega, a_ub=a_ub, b_ub=b_ub))
         y = y + v / steps
     x0 = _repair_point(inst, np.clip(y, 0.0, 1.0))
-    return x0, multilinear_value_from_table(table, p * x0)
+    return x0, multilinear(table, p * x0)
 
 
 def _submodular_instances(count, seed_base):
@@ -310,17 +308,30 @@ class TestVectorizedContinuousGreedy:
             y = np.array([rng.choice([0.0, 1.0, rng.random()]) for _ in range(n)])
             for p in (np.asarray(inst.p), np.ones(n)):
                 q = p * y
-                omega = _gradient_matrix(table, p) @ _product_weights(q)
+                omega = _gradient_matrix(table, p) @ product_weights(q)
                 for e in range(n):
                     assert abs(omega[e] - p[e] * partial_derivative(f, q, e)) <= 1e-12
 
     def test_product_weights_and_trajectory_value(self):
+        # the product-weight dot, which both F and the trajectory read,
+        # against the loop over the fractional coordinates' subsets
         inst = random_instance(31, n=6, objective="coverage")
         q = np.array([0.0, 0.3, 1.0, 0.7, 0.5, 0.2])
-        weights = _product_weights(q)
+        weights = product_weights(q)
         assert weights.sum() == pytest.approx(1.0, abs=1e-15)
         table = inst.objective.value_table()
-        assert abs(weights @ np.asarray(table) - multilinear_value_from_table(table, q)) <= 1e-12
+        cases = [(table, q)]
+        rng = spawn_rng(31, "product-weights")
+        for _ in range(60):
+            n = rng.randint(0, 10)
+            scale = rng.choice([1.0, 1e3])
+            table = [rng.uniform(-scale, scale) for _ in range(1 << n)]
+            cases.append((table, np.array([rng.choice([0.0, 1.0, rng.random()]) for _ in range(n)])))
+        for table, q in cases:
+            exact = multilinear(table, q)
+            tol = 1e-12 * max(1.0, max(map(abs, table)))
+            assert abs(product_weights(q) @ np.asarray(table) - exact) <= tol
+            assert abs(multilinear_value_from_table(table, q) - exact) <= tol
 
     def test_matches_solve_every_step_loop(self):
         for inst in _submodular_instances(20, 700):
