@@ -25,6 +25,7 @@ from .instances import (
     gen_bipartite_matching,
     gen_posted_pricing,
     gen_random,
+    matroid_problems,
     verify_instance,
 )
 from .matroids import uniform_matroid
@@ -93,12 +94,16 @@ def cmd_generate(kind, size, k_in, k_out, objective, edge_prob, patience, price_
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_run(instance, trials, seed, cg_steps, out, fmt, jobs):
-    """Solve the relaxation and run Monte Carlo policy trials."""
+    """Solve the relaxation and run Monte Carlo policy trials.
+
+    An explicit independence family that breaks the matroid axioms fails
+    first, with verify's messages: the paper's bound assumes matroids."""
     out_dir = os.path.dirname(out or "") or "."
     if out and not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
         # fail before the experiment, not after it; the file is opened only then
         raise click.BadParameter(f"cannot write into the directory of {out}", param_hint="'--out'")
     inst = ProbingInstance.load(instance)
+    _fail_on(matroid_problems(inst, explicit_only=True))
     config = ExperimentConfig(trials=trials, seed=seed, cg_steps=cg_steps, jobs=jobs)
     report = run_experiment(inst, config)
     if fmt == "json":
@@ -136,11 +141,16 @@ def cmd_verify(instance, cg_steps):
                     rt = implied_vector_masks(decompose_masks(m, vec), inst.n)
                     if not within(rt, vec, 1e-9):
                         problems.append(f"{label} matroid {j}: decomposition round-trip failed")
+    _fail_on(problems)
+    click.echo("ok")
+
+
+def _fail_on(problems: list) -> None:
+    """Print one `FAIL:` line per problem and raise VerificationError (exit 2)."""
     if problems:
         for p in problems:
             click.echo(f"FAIL: {p}", err=True)
         raise VerificationError(f"{len(problems)} verification failure(s)")
-    click.echo("ok")
 
 
 def main(argv=None) -> int:

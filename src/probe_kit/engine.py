@@ -188,7 +188,7 @@ def potential(state: PolicyState) -> float:
     p, x, s_mask = inst.p, state.x, state.s_mask
     y = [1.0 if s_mask >> i & 1 else p[i] * x[i] for i in range(inst.n)]
     table = inst.objective.value_table()
-    return multilinear_value_from_table(table, y) - table[s_mask]
+    return multilinear_value_from_table(table, y) - float(table[s_mask])
 
 
 def init_state(inst: ProbingInstance, x0: Sequence[float]) -> PolicyState:

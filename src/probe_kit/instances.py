@@ -268,11 +268,10 @@ def gen_random(
     objective_kind: str,
     rng: random.Random,
 ) -> ProbingInstance:
-    """Random oracle-checkable instance; all matroids pass axiom checks."""
+    """Random instance of up to GROUND_CAP elements; all matroids pass axiom checks."""
     if k_out < 1:
         raise ValueError("at least one outer matroid is required")
-    if n > 12:
-        raise ValueError("random generator targets oracle-checkable sizes (n <= 12)")
+    check_ground_size(n)
     inner = [_random_matroid(n, rng) for _ in range(k_in)]
     outer = [_random_matroid(n, rng) for _ in range(k_out)]
     p = [round(rng.uniform(0.1, 1.0), 4) for _ in range(n)]
@@ -303,12 +302,21 @@ def gen_random(
     )
 
 
-def verify_instance(inst: ProbingInstance) -> list:
-    """Structural diagnostics used by the CLI verify command: the matroid
-    axioms of every constraint and the structure of the objective."""
+def matroid_problems(inst: ProbingInstance, explicit_only: bool = False) -> list:
+    """The matroid axiom violations of every inner and outer matroid, or of
+    the explicit families only: the other kinds build true rank functions,
+    so only a listed family can fail."""
     problems = []
     for label, matroids in (("inner", inst.inner), ("outer", inst.outer)):
         for j, m in enumerate(matroids):
-            problems += [f"{label} matroid {j}: {v}" for v in matroid_axiom_violations(m)]
+            if not explicit_only or m.kind_name == "explicit":
+                problems += [f"{label} matroid {j}: {v}" for v in matroid_axiom_violations(m)]
+    return problems
+
+
+def verify_instance(inst: ProbingInstance) -> list:
+    """Structural diagnostics used by the CLI verify command: the matroid
+    axioms of every constraint and the structure of the objective."""
+    problems = matroid_problems(inst)
     problems += [f"objective: {v}" for v in objective_structure_violations(inst.objective)]
     return problems

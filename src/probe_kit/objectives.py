@@ -1,12 +1,13 @@
 """Objectives as value tables, and the exact multilinear extension F.
 
 An objective is its JSON form and its value f(S) on every mask S of the 2^n
-lattice, as a list of Python floats.  One constructor per kind (linear,
-coverage, weighted matroid rank) validates its input, checks the ground size
-against GROUND_CAP and builds the table with numpy passes over all masks.
-Each entry is a sum of weights added in ascending index order from 0.0, so it
-equals Python's `sum` over the same weights bit for bit.  The structure check
-reads normalization, monotonicity and submodularity off the table.
+lattice, as one read-only float64 array; `value_mask` and `value` return
+Python floats.  One constructor per kind (linear, coverage, weighted matroid
+rank) validates its input, checks the ground size against GROUND_CAP and
+builds the table with numpy passes over all masks.  Each entry is a sum of
+weights added in ascending index order from 0.0, so it equals Python's `sum`
+over the same weights bit for bit.  The structure check reads normalization,
+monotonicity and submodularity off the table.
 
 F(y) is the one evaluator of the multilinear extension: the product weights
 Pr_y[R] over all 2^n masks, dotted with the table.  Continuous greedy and the
@@ -15,7 +16,7 @@ policy's potential both read F through it.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,23 +30,24 @@ class Objective:
 
     __slots__ = ("_spec", "_table", "n", "is_linear")
 
-    def __init__(self, spec: dict, table: List[float]):
+    def __init__(self, spec: dict, table: Sequence[float]):
         self._spec = spec
-        self._table = table
+        self._table = np.asarray(table, dtype=float)
+        self._table.flags.writeable = False
         self.n = len(table).bit_length() - 1
         self.is_linear = spec["kind"] == "linear"
 
     def value_mask(self, mask: int) -> float:
-        return self._table[mask]
+        return float(self._table[mask])
 
     def value(self, s: Iterable[int]) -> float:
         mask = mask_of(s)
         if mask >> self.n:
             raise ValueError("element outside the objective's ground set")
-        return self._table[mask]
+        return float(self._table[mask])
 
-    def value_table(self) -> List[float]:
-        """All 2^n values, indexed by mask."""
+    def value_table(self) -> np.ndarray:
+        """All 2^n values, indexed by mask, as a read-only float64 array."""
         return self._table
 
     def to_json(self) -> dict:
@@ -79,13 +81,13 @@ class Objective:
 # ---------------------------------------------------------------------------
 
 
-def _weight_sums(size: int, terms) -> List[float]:
+def _weight_sums(size: int, terms) -> np.ndarray:
     """Per mask, the sum of the weights w whose `hit` is set, for (w, hit)
     in `terms` order, starting from 0.0."""
     table = np.zeros(size)
     for w, hit in terms:
         table += np.where(hit, w, 0.0)
-    return table.tolist()
+    return table
 
 
 def linear_objective(weights: Sequence[float]) -> Objective:
@@ -171,7 +173,7 @@ def multilinear_value_from_table(table: Sequence[float], y: Sequence[float]) -> 
         raise ValueError("multilinear argument must lie in the unit cube")
     if len(table) != 1 << len(y):
         raise ValueError("value table and argument differ in dimension")
-    return float(product_weights(np.clip(y, 0.0, 1.0)) @ np.asarray(table, dtype=float))
+    return float(product_weights(np.clip(y, 0.0, 1.0)) @ table)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +191,7 @@ def objective_structure_violations(f: Objective) -> list:
     most |S - T| * |T - S| <= 64 local ones (n <= 16), so for max f <= 1 a
     passing table is within 6.4e-11 of submodular on every pair.
     """
-    t = np.asarray(f.value_table())
+    t = f.value_table()
     tol = 1e-12 * max(1.0, float(np.abs(t).max()))
     problems = []
     if abs(t[0]) > tol:

@@ -24,7 +24,7 @@ class _AdaptiveDP:
         if inst.n > DP_CAP:
             raise CapabilityError(f"adaptive DP limited to {DP_CAP} elements")
         self.inst = inst
-        self.value_table = inst.objective.value_table()
+        self.value_table = inst.objective.value_table().tolist()  # the recursion reads floats
         # e is probeable at (q, s) when q + e is outer-independent and, since an
         # active element must be taken, s + e inner-independent: the bits of
         # outer_ext[q] & inner_ext[s], each the AND of its matroids' extension masks

@@ -11,6 +11,8 @@ lookup.  A contracted matroid is no different here: its contracted elements
 are loops of its table, so their rank rows force x to vanish on them.  The
 support update reads a policy state's contraction as a mask (`contracted`)
 against the instance's matroid, so no contracted copy is built per step.
+One exact fit, nonnegative least squares over given sets (`_fit`), is both
+the peel's fallback and the cut of a decomposition to at most n+1 sets.
 """
 
 from __future__ import annotations
@@ -91,11 +93,12 @@ def implied_vector_masks(terms: MaskTerms, n: int) -> List[float]:
     return x
 
 
-def _merge_terms(terms: MaskTerms) -> MaskTerms:
-    """Sum the weights of equal sets.
+def _merge_terms(terms: MaskTerms, n: int) -> MaskTerms:
+    """Sum the weights of equal sets, then cut them to at most n+1 sets.
 
     A set of total weight <= EPS gives its weight to the empty set, which is
-    independent in every matroid, so the weights keep their sum.
+    independent in every matroid, so the weights keep their sum.  More than
+    n+1 sets are refit by `_fit` to their own implied vector.
     """
     acc = {}
     for w, mask in terms:
@@ -109,44 +112,36 @@ def _merge_terms(terms: MaskTerms) -> MaskTerms:
             empty += w
     if empty > 0.0:
         out.append((empty, 0))
+    if len(out) > n + 1:
+        return _fit([mask for _, mask in out], implied_vector_masks(out, n))
     return out or [(1.0, 0)]
 
 
-def _incidence(masks: Sequence[int], n: int) -> np.ndarray:
-    """The (n+1) x len(masks) matrix whose column j is the indicator vector of
-    masks[j] over 0..n-1 followed by a 1."""
-    cols = np.asarray(masks, dtype=np.int64)
-    return np.vstack(((cols >> np.arange(n)[:, None]) & 1, np.ones(len(cols))))
+def nnls(*args, **kwargs):
+    """`scipy.optimize.nnls`, imported at the first call: importing
+    scipy.optimize is most of the start-up cost of `import probe_kit`."""
+    import scipy.optimize
+
+    return scipy.optimize.nnls(*args, **kwargs)
 
 
-def _caratheodory_reduce(terms: MaskTerms, n: int) -> MaskTerms:
-    """Shrink a convex combination to at most n+1 terms without moving x.
+def _fit(masks: Sequence[int], x: Sequence[float]) -> MaskTerms:
+    """A convex combination of the sets `masks` whose implied vector is x:
+    nonnegative least squares on their (indicator, 1) columns, then one
+    least-squares refinement on the columns it keeps.
 
-    Repeatedly finds an affine dependency among the (indicator, 1) vectors and
-    shifts weight along it until one term vanishes.
+    Raises ValueError when none is within EPS of x.  Lawson-Hanson keeps its
+    columns linearly independent, so at most n+1 distinct sets are kept.
     """
-    terms = _merge_terms(terms)
-    while len(terms) > n + 1:
-        _, _, vt = np.linalg.svd(_incidence([mask for _, mask in terms], n))
-        gamma = vt[-1]
-        if np.max(np.abs(gamma)) < 1e-12:
-            break
-        if np.max(gamma) <= 1e-15:
-            gamma = -gamma
-        ratios = [
-            (terms[j][0] / gamma[j], j) for j in range(len(terms)) if gamma[j] > 1e-15
-        ]
-        t, _ = min(ratios)
-        new_terms = []
-        for j, (w, mask) in enumerate(terms):
-            w2 = w - t * gamma[j]
-            if w2 > EPS:
-                new_terms.append((w2, mask))
-        if len(new_terms) >= len(terms):
-            break
-        terms = new_terms
-    total = sum(w for w, _ in terms)
-    return [(w / total, mask) for w, mask in terms]
+    cols = np.asarray(masks, dtype=np.int64)
+    a = np.vstack(((cols >> np.arange(len(x))[:, None]) & 1, np.ones(len(cols))))
+    b = np.append(x, 1.0)
+    w, residual = nnls(a, b)
+    if residual > EPS:
+        raise ValueError("point is not in the matroid polytope")
+    keep = np.flatnonzero(w > 1e-12)  # larger than NNLS round-off
+    w = np.linalg.lstsq(a[:, keep], b, rcond=None)[0]
+    return [(float(v), masks[j]) for v, j in zip(w, keep)]
 
 
 def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
@@ -205,9 +200,7 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
         return _decompose_lp(m, target)
     if w_rem > 0.0:
         terms.append((w_rem, 0))
-    terms = _merge_terms(terms)
-    if len(terms) > n + 1:
-        terms = _caratheodory_reduce(terms, n)
+    terms = _merge_terms(terms, n)
     # certify the round trip; fall back to the exact fit if peeling drifted
     if not within(implied_vector_masks(terms, n), target, EPS):
         return _decompose_lp(m, target)
@@ -215,17 +208,8 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
 
 
 def _decompose_lp(m: Matroid, x: Sequence[float]) -> MaskTerms:
-    """Exact fallback: nonnegative least squares over all independent subsets
-    of supp(x), with one least-squares refinement on the columns it keeps.
-    `x` is the point `decompose_masks` clamped into [0, 1].
-
-    Raises ValueError when no convex combination of them is within EPS of x.
-    The kept columns are distinct and linearly independent, so there are at
-    most n+1 of them and nothing to merge.
-    """
-    from scipy.optimize import nnls
-
-    n = m.ground_size
+    """Exact fallback: `_fit` of x, the point `decompose_masks` clamped into
+    [0, 1], over all independent subsets of supp(x); raises its ValueError."""
     support = _support_mask(x)
     columns = [0]
     sub = support
@@ -233,14 +217,7 @@ def _decompose_lp(m: Matroid, x: Sequence[float]) -> MaskTerms:
         if m.indep_mask(sub):
             columns.append(sub)
         sub = (sub - 1) & support
-    a = _incidence(columns, n)
-    b = np.append(x, 1.0)
-    w, residual = nnls(a, b)
-    if residual > EPS:
-        raise ValueError("point is not in the matroid polytope")
-    keep = np.flatnonzero(w > 1e-12)  # larger than NNLS round-off
-    w = np.linalg.lstsq(a[:, keep], b, rcond=None)[0]
-    return [(float(v), columns[j]) for v, j in zip(w, keep)]
+    return _fit(columns, x)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +301,4 @@ def trim_masks(
                 terms[j] = (w - d, mask)
                 terms.append((d, mask & ~ibit))
                 break
-    terms = _merge_terms(terms)
-    if len(terms) > n + 1:
-        terms = _caratheodory_reduce(terms, n)
-    return terms
+    return _merge_terms(terms, n)

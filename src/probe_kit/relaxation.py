@@ -13,7 +13,7 @@ import numpy as np
 from .instances import ProbingInstance
 from .matroids import bits
 from .objectives import multilinear_value_from_table, product_weights
-from .polytope import in_polytope
+from .polytope import in_polytope, nnls
 
 FEAS_TOL = 1e-7
 SHRINK = 1.0 - 1e-9  # pull solver output strictly inside the polytope
@@ -21,20 +21,14 @@ TIGHT_TOL = 1e-9  # slack under which a constraint counts as tight at a vertex
 
 
 # Importing scipy.optimize is most of the start-up cost of `import probe_kit`,
-# and only a solve needs it, so it is imported at the first call.  The solve
-# path looks both names up here, where tests can replace them.
+# and only a solve needs it, so `linprog` here and `nnls` in polytope.py import
+# it at the first call.  The solve path looks both names up here, where tests
+# can replace them.
 def linprog(*args, **kwargs):
     """`scipy.optimize.linprog`."""
     import scipy.optimize
 
     return scipy.optimize.linprog(*args, **kwargs)
-
-
-def nnls(*args, **kwargs):
-    """`scipy.optimize.nnls`."""
-    import scipy.optimize
-
-    return scipy.optimize.nnls(*args, **kwargs)
 
 
 @dataclass
@@ -198,7 +192,7 @@ def continuous_greedy(inst: ProbingInstance, steps: int = 200) -> RelaxedSolutio
     n = inst.n
     a_ub, b_ub = _polytope_rows(inst)
     p = np.asarray(inst.p, dtype=float)
-    flat = np.asarray(inst.objective.value_table(), dtype=float)
+    flat = inst.objective.value_table()
     grad = _gradient_matrix(flat, p)
     y = np.zeros(n)
     weights = product_weights(p * y)

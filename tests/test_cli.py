@@ -44,6 +44,14 @@ class TestGenerate:
         assert inst.n == 5
         assert inst.metadata["seed"] == 3
 
+    def test_random_instance_at_the_cap(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        code, _, stderr = _run(
+            capsys, "generate", "--kind", "random", "--size", "16", "--out", str(out)
+        )
+        assert (code, stderr) == (0, "")
+        assert ProbingInstance.load(out).n == 16
+
     def test_generate_is_seed_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -130,8 +138,9 @@ class TestGenerate:
             (["--kind", "bipartite", "--size", "5", "--edge-prob", "0.9", "--seed", "1"], 21),
             (["--kind", "posted-pricing", "--size", "8", "--seed", "1"], 24),
             (["--kind", "posted-pricing", "--size", "12", "--price-levels", "3"], 48),
+            (["--kind", "random", "--size", "17"], 17),
         ],
-        ids=["bipartite-5", "posted-pricing-8", "posted-pricing-12"],
+        ids=["bipartite-5", "posted-pricing-8", "posted-pricing-12", "random-17"],
     )
     def test_ground_set_above_cap_is_capability_error(
         self, tmp_path, capsys, monkeypatch, argv, n
@@ -165,6 +174,22 @@ class TestRun:
         )
         assert code == 0
         return out
+
+    @pytest.mark.parametrize("side, j", [("outer", 0), ("inner", 1)])
+    def test_non_matroid_fails_before_the_run(self, tmp_path, capsys, side, j):
+        out = tmp_path / "inst.json"
+        _run(
+            capsys, "generate", "--kind", "bipartite", "--size", "3", "--edge-prob", "1.0",
+            "--patience", "2", "--seed", "1", "--out", str(out),
+        )
+        doc = json.loads(out.read_text())
+        # bases {0} and {1, 2} differ in size
+        doc[side][j] = {"kind": "explicit", "n": 9, "independent_sets": [[], [0], [1, 2]]}
+        out.write_text(json.dumps(doc))
+        code, stdout, stderr = _run(capsys, "run", "--instance", str(out), "--trials", "10")
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"FAIL: {side} matroid {j}: exchange")
+        assert _run(capsys, "verify", "--instance", str(out)) == (code, stdout, stderr)
 
     def test_json_report(self, instance_file, capsys):
         code, stdout, _ = _run(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import probe_kit.polytope
 from probe_kit.matroids import (
     free_matroid,
     graphic_matroid,
@@ -16,11 +17,15 @@ from probe_kit.errors import CapabilityError
 from probe_kit.instances import ProbingInstance
 from probe_kit.objectives import linear_objective
 from probe_kit.polytope import (
+    EPS,
     _decompose_lp,
+    _fit,
     decompose_masks,
     implied_vector_masks,
     in_polytope,
     support_update_masks,
+    trim_masks,
+    within,
 )
 from probe_kit.relaxation import relaxation_feasible
 
@@ -136,6 +141,58 @@ class TestDecompose:
         assert max(abs(rt[i] - x[i]) for i in range(m.ground_size)) <= 1e-9
         for _, mask in terms:
             assert m.indep_mask(mask)
+
+
+class TestCutToNPlusOne:
+    """More than n+1 merged sets are refit, by `_fit`, to at most n+1 of them."""
+
+    @pytest.fixture()
+    def fits(self, monkeypatch):
+        calls = []
+
+        def recording(masks, x):
+            terms = _fit(masks, x)
+            calls.append((masks, x, terms))
+            return terms
+
+        monkeypatch.setattr(probe_kit.polytope, "_fit", recording)
+        return calls
+
+    @staticmethod
+    def _assert_cut(fits, n):
+        """The one fit was a cut, and its terms are a convex combination of
+        at most n+1 of the merged sets with their implied vector."""
+        ((masks, merged, terms),) = fits
+        assert len(masks) > n + 1
+        assert len(terms) <= n + 1
+        assert {mask for _, mask in terms} <= set(masks)
+        assert all(w >= 0.0 for w, _ in terms)
+        assert abs(sum(w for w, _ in terms) - 1.0) <= 1e-12
+        assert within(implied_vector_masks(terms, n), merged, 1e-12)
+        return terms
+
+    def test_decompose(self, fits):
+        # the peel takes 7 sets of U(5, 3) for this point
+        m = uniform_matroid(5, 3)
+        x = [0.44, 0.76, 0.83, 0.76, 0.18]
+        terms = decompose_masks(m, x)
+        assert self._assert_cut(fits, 5) == terms
+        assert all(m.indep_mask(mask) for _, mask in terms)
+        assert within(implied_vector_masks(terms, 5), x, EPS)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_trim(self, fits, seed):
+        rng = random.Random(seed)
+        n = 6
+        masks = rng.sample(range(1, 1 << n), 20)
+        raw = [rng.random() for _ in masks]
+        terms = [(w / sum(raw), mask) for w, mask in zip(raw, masks)]
+        implied = implied_vector_masks(terms, n)
+        target = [v * rng.choice([0.0, 0.5, 0.9, 1.0]) for v in implied]
+        trimmed = trim_masks(terms, implied, target)
+        assert self._assert_cut(fits, n) == trimmed
+        assert all(any(mask & ~orig == 0 for orig in masks) for _, mask in trimmed)
+        assert within(implied_vector_masks(trimmed, n), target, EPS + 1e-12)
 
 
 class TestSupportUpdate:
