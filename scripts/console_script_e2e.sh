@@ -6,8 +6,9 @@
 #
 # WORK_DIR (default: a fresh temporary directory) receives the generated
 # instances and reports. The oracle reports a value at its cap (the |E| = 12
-# instance, whose extension tables are built with numpy) and null above it
-# (|E| = 14); the seed-24 verify exercises scipy's nnls in the exact
+# instance, whose extension tables are built with numpy), pinned bit for bit
+# to the value of the memoized recursion the layered sweep replaced, and null
+# above it (|E| = 14); the seed-24 verify exercises scipy's nnls in the exact
 # decomposition fallback; the posted-pricing instance builds a 16-element
 # explicit rank table, at the cap, with numpy; the 12-element
 # weighted-matroid-rank instance builds its value table with numpy; the
@@ -62,7 +63,8 @@ probe-kit verify --instance "$d/rank.json"
 python -c "import json, sys; d = sys.argv[1];
 a = json.load(open(d + '/dp-cap-report.json'));
 b = json.load(open(d + '/near-integral-report.json'));
-assert a['oracle_value'] is not None, a; assert b['oracle_value'] is None, b" "$d"
+assert a['oracle_value'].hex() == '0x1.24575571a1830p+2', a
+assert b['oracle_value'] is None, b" "$d"
 python -c "import json, sys; json.dump({'ground': {'size': 3}, 'p': [0.5] * 3,
 'objective': {'kind': 'linear', 'weights': [3.0, 1.0, 1.0]}, 'inner': [],
 'outer': [{'kind': 'uniform', 'n': 3, 'k': 2, 'contracted': [0]}]},

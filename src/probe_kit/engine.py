@@ -123,7 +123,10 @@ class PolicyState:
     def successes(self) -> frozenset:
         return frozenset(bits(self.s_mask))
 
+    @cached_property
     def objective_value(self) -> float:
+        """f(S) of the success set, computed on first access: an interned
+        terminal state reads it once for all the trials that end in it."""
         return self.inst.objective.value_mask(self.s_mask)
 
 

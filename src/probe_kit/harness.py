@@ -155,8 +155,8 @@ def _step_record(state: PolicyState, choices: StepChoices, nxt: PolicyState) -> 
         deltas=[p[i] * (state.x[i] - nxt.x[i]) for i in range(state.inst.n)],
         z_before=state.z,
         z_after=nxt.z,
-        f_before=state.objective_value(),
-        f_after=nxt.objective_value(),
+        f_before=state.objective_value,
+        f_after=nxt.objective_value,
     )
 
 
@@ -165,7 +165,7 @@ def run_policy(inst: ProbingInstance, x0, rng: random.Random) -> Trace:
     steps, store = [], {}
     root = intern(store, init_state(inst, x0))
     state, _ = walk(root, rng, store, lambda *step: steps.append(_step_record(*step)))
-    return Trace(steps, state.successes, state.probed, state.objective_value())
+    return Trace(steps, state.successes, state.probed, state.objective_value)
 
 
 def _run_chunks(inst: ProbingInstance, x0, seed: int, chunks) -> List[tuple]:
@@ -184,7 +184,7 @@ def _run_chunks(inst: ProbingInstance, x0, seed: int, chunks) -> List[tuple]:
         steps = 0
         for _ in range(count):
             state, n_steps = walk(root, rng, store)
-            v = state.objective_value()
+            v = state.objective_value
             total += v
             total_sq += v * v
             steps += n_steps

@@ -82,10 +82,11 @@ class Matroid:
     (None: the dependent flats).  A contraction M/C is a matroid of its own:
     its spec lists C under "contracted" and its table is r(S | C) - |C|, so a
     contracted element is a loop.  `_exchange_memo` holds the exchange maps
-    built for this matroid (see `_exchange_mapping_masks`).
+    built for this matroid (see `_exchange_mapping_masks`), and `_array` the
+    table as an array once `rank_array` has built it.
     """
 
-    __slots__ = ("_spec", "_tbl", "_rows", "_n", "_cmask", "_exchange_memo")
+    __slots__ = ("_spec", "_tbl", "_rows", "_n", "_cmask", "_exchange_memo", "_array")
 
     def __init__(self, spec: dict, table: list, rows=None):
         self._spec = spec
@@ -94,6 +95,7 @@ class Matroid:
         self._n = len(table).bit_length() - 1
         self._cmask = mask_of(spec.get("contracted", ()))
         self._exchange_memo = {}
+        self._array = None
 
     # -- public set-based API ------------------------------------------------
 
@@ -138,7 +140,7 @@ class Matroid:
         self._check_subset(bit)
         if not self.indep_mask(bit):
             raise ValueError(f"cannot contract loop element {e}")
-        t = np.asarray(self._tbl)
+        t = self.rank_array()
         table = t[np.arange(len(t), dtype=np.int64) | bit] - 1
         spec = {**self._spec, "contracted": sorted(bits(self._cmask | bit))}
         return Matroid(spec, table.tolist())
@@ -161,6 +163,14 @@ class Matroid:
     def rank_mask(self, mask: int) -> int:
         return self._tbl[mask]
 
+    def rank_array(self) -> np.ndarray:
+        """The rank table as a read-only int64 array, built on first use, for
+        gathers over many masks (`rank_mask` reads the list, faster per mask)."""
+        if self._array is None:
+            self._array = np.asarray(self._tbl, dtype=np.int64)
+            self._array.flags.writeable = False
+        return self._array
+
     def indep_mask(self, mask: int) -> bool:
         """r(S) = |S|, so a contracted element, a loop of M/C, is dependent."""
         return self._tbl[mask] == mask.bit_count()
@@ -171,7 +181,7 @@ class Matroid:
         vector passes."""
         n = self._n
         masks = np.arange(1 << n, dtype=np.int64)
-        indep = np.asarray(self._tbl) == _popcounts(n)
+        indep = self.rank_array() == _popcounts(n)
         ext = np.zeros(1 << n, dtype=np.int64)
         for e in range(n):
             ext |= (indep[masks | 1 << e] & (masks >> e & 1 == 0)).astype(np.int64) << e
@@ -443,7 +453,7 @@ def matroid_axiom_violations(m: Matroid) -> list:
     Contracted elements are loops, so they pass.
     """
     n = m.ground_size
-    r = np.asarray(m._tbl)
+    r = m.rank_array()
     problems = []
     if r[0]:
         problems.append("r(empty) != 0")

@@ -4,10 +4,12 @@ that turns the updated decomposition into one of the new point.
 
 A fractional point is a length-n sequence of reals in [0,1].  A
 decomposition is a list of (weight, bitmask) terms with weights summing to
-1.  Membership and peeling enumerate subsets of the support, which is the
-intended exact mode at desk scale: every matroid has a rank table (its
-ground set is at most GROUND_CAP elements), so each rank query is one table
-lookup.  A contracted matroid is no different here: its contracted elements
+1.  Membership and each step of the peel scan every subset of the support,
+the intended exact mode at desk scale, in one subset-sum pass
+(`_subset_sums`: every submask with its x(A), one numpy doubling per
+element); every matroid has a rank table (its ground set is at most
+GROUND_CAP elements), so the ranks of the submasks are one gather.  A
+contracted matroid is no different here: its contracted elements
 are loops of its table, so their rank rows force x to vanish on them.  The
 support update reads a policy state's contraction as a mask (`contracted`)
 against the instance's matroid, so no contracted copy is built per step.
@@ -60,18 +62,26 @@ def in_polytope(m: Matroid, x: Sequence[float], tol: float = EPS) -> bool:
     return _max_violation(m, x, support) <= tol
 
 
+def _subset_sums(x: Sequence[float], support: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every submask A of `support` with x(A): one doubling per element of the
+    support in ascending order, so x(A) adds A's coordinates in ascending
+    order to 0.0, as a loop over bits(A) would."""
+    size = 1 << support.bit_count()
+    masks = np.zeros(size, dtype=np.int64)
+    sums = np.zeros(size)
+    half = 1
+    for i in bits(support):
+        np.bitwise_or(masks[:half], 1 << i, out=masks[half : 2 * half])
+        np.add(sums[:half], x[i], out=sums[half : 2 * half])
+        half *= 2
+    return masks, sums
+
+
 def _max_violation(m: Matroid, x: Sequence[float], support: int) -> float:
-    worst = 0.0
-    sub = support
-    while sub:
-        total = 0.0
-        for i in bits(sub):
-            total += x[i]
-        v = total - m.rank_mask(sub)
-        if v > worst:
-            worst = v
-        sub = (sub - 1) & support
-    return worst
+    """The largest x(A) - r(A) over the submasks A of the support; the empty
+    set makes it at least 0."""
+    masks, sums = _subset_sums(x, support)
+    return float((sums - m.rank_array()[masks]).max())
 
 
 def within(a: Sequence[float], b: Sequence[float], tol: float) -> bool:
@@ -144,6 +154,23 @@ def _fit(masks: Sequence[int], x: Sequence[float]) -> MaskTerms:
     return [(float(v), masks[j]) for v, j in zip(w, keep)]
 
 
+def _step_cap(
+    m: Matroid, residual: Sequence[float], support: int, bmask: int, w_rem: float
+) -> float:
+    """The peel's step on the independent set B = bmask: the largest beta up
+    to w_rem and to residual[i] for i in B such that, for every A within the
+    support with r(A) > |A & B|, x(A) - beta |A & B| <= (w_rem - beta) r(A),
+    i.e. beta <= (w_rem r(A) - x(A)) / (r(A) - |A & B|), x the residual."""
+    beta = min(w_rem, min(residual[i] for i in bits(bmask)))
+    masks, xa = _subset_sums(residual, support)
+    ra = m.rank_array()[masks]
+    inter = sum(masks >> i & 1 for i in bits(bmask))
+    capped = ra > inter
+    ra = ra[capped]
+    caps = (w_rem * ra - xa[capped]) / (ra - inter[capped])
+    return float(np.min(caps, initial=beta))
+
+
 def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
     """Peel x in P(m) into a convex combination of independent-set indicators.
 
@@ -163,28 +190,12 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
     terms: MaskTerms = []
     support = _support_mask(residual)
     max_iters = MAX_PEEL_FACTOR * max(1, support.bit_count())
-    tbl = m._tbl  # local bind for the submask-enumeration hot loop
     for _ in range(max_iters):
         if not support:
             break
         order = sorted(bits(support), key=lambda i: (-residual[i], i))
         bmask = m.max_independent_subset(order)
-        beta = min(w_rem, min(residual[i] for i in bits(bmask)))
-        sub = support
-        while sub:
-            ra = tbl[sub]
-            inter = (sub & bmask).bit_count()
-            if ra > inter:
-                xa = 0.0
-                rest = sub
-                while rest:
-                    low = rest & -rest
-                    xa += residual[low.bit_length() - 1]
-                    rest ^= low
-                cap = (w_rem * ra - xa) / (ra - inter)
-                if cap < beta:
-                    beta = cap
-            sub = (sub - 1) & support
+        beta = _step_cap(m, residual, support, bmask, w_rem)
         if beta <= 1e-12:
             return _decompose_lp(m, target)
         terms.append((beta, bmask))

@@ -14,7 +14,6 @@ from probe_kit.errors import CapabilityError, InvariantViolation
 from probe_kit.instances import ProbingInstance, gen_random
 from probe_kit.matroids import Matroid, _exchange_mapping_masks, bits, mask_of, set_of
 from probe_kit.objectives import Objective
-from probe_kit.oracle import _AdaptiveDP
 from probe_kit.relaxation import (
     LinearProgram,
     _polytope_rows,
@@ -180,7 +179,7 @@ def simulate_value(inst: ProbingInstance, x0, rng: random.Random) -> float:
     for _ in range(inst.n + 1):
         choices = engine.draw_choices(state, rng)
         if choices is None:
-            return state.objective_value()
+            return state.objective_value
         state = certified_step(state, choices)
     raise InvariantViolation("more steps than ground elements")
 
@@ -352,6 +351,57 @@ def objective_structure_violations_loop(f: Objective) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Subset scans of a support as submask loops, the references for
+# `polytope._subset_sums` and its readers
+# ---------------------------------------------------------------------------
+
+
+def in_polytope_loop(m: Matroid, x: Sequence[float], tol: float) -> bool:
+    """`polytope.in_polytope` with its violation found by `max_violation_loop`."""
+    support = 0
+    for i, v in enumerate(x):
+        if v < -tol or not math.isfinite(v):
+            return False
+        if v > tol:
+            support |= 1 << i
+    return max_violation_loop(m, x, support) <= tol
+
+
+def max_violation_loop(m: Matroid, x: Sequence[float], support: int) -> float:
+    """max(0, max over submasks A of `support` of x(A) - r(A)), x(A) summed
+    over A's elements in ascending order."""
+    worst = 0.0
+    sub = support
+    while sub:
+        total = 0.0
+        for i in bits(sub):
+            total += x[i]
+        v = total - m.rank_mask(sub)
+        if v > worst:
+            worst = v
+        sub = (sub - 1) & support
+    return worst
+
+
+def step_cap_loop(m: Matroid, residual, support: int, bmask: int, w_rem: float) -> float:
+    """`polytope._step_cap` by a loop over the submasks of the support."""
+    beta = min(w_rem, min(residual[i] for i in bits(bmask)))
+    sub = support
+    while sub:
+        ra = m.rank_mask(sub)
+        inter = (sub & bmask).bit_count()
+        if ra > inter:
+            xa = 0.0
+            for i in bits(sub):
+                xa += residual[i]
+            cap = (w_rem * ra - xa) / (ra - inter)
+            if cap < beta:
+                beta = cap
+        sub = (sub - 1) & support
+    return beta
+
+
+# ---------------------------------------------------------------------------
 # Brute-force oracles
 # ---------------------------------------------------------------------------
 
@@ -373,41 +423,53 @@ def _probe_candidates(inst: ProbingInstance, q_mask: int, s_mask: int):
         yield e
 
 
-def reference_adaptive_value(inst: ProbingInstance) -> float:
-    """E[OPT] by the adaptive DP with independence calls per state, in the
-    order and arithmetic of `optimal_adaptive_value`; its exact reference."""
-    value_table = inst.objective.value_table()
-    memo = {}
+class AdaptiveRecursion:
+    """E[OPT] by the memoized recursion over (probed, successes) bitmask
+    pairs, with independence calls per state: the exact reference of
+    `optimal_adaptive_value`'s layered sweep.  Candidates in ascending
+    order, v = p_e V(q+e, s+e) + (1 - p_e) V(q+e, s), and f(s) kept unless
+    some v is strictly greater, so both give the same float."""
 
-    def value(q_mask: int, s_mask: int) -> float:
+    def __init__(self, inst: ProbingInstance):
+        self.inst = inst
+        self.value_table = inst.objective.value_table().tolist()
+        self.memo = {}
+
+    def value(self, q_mask: int, s_mask: int) -> float:
         key = (q_mask, s_mask)
-        cached = memo.get(key)
+        cached = self.memo.get(key)
         if cached is not None:
             return cached
-        best = value_table[s_mask]
-        for e in _probe_candidates(inst, q_mask, s_mask):
-            ebit = 1 << e
-            pe = inst.p[e]
-            v = pe * value(q_mask | ebit, s_mask | ebit) + (1.0 - pe) * value(
-                q_mask | ebit, s_mask
-            )
+        best = self.value_table[s_mask]
+        for e in _probe_candidates(self.inst, q_mask, s_mask):
+            v = self.probe_value(q_mask, s_mask, e)
             if v > best:
                 best = v
-        memo[key] = best
+        self.memo[key] = best
         return best
 
-    return value(0, 0)
+    def probe_value(self, q_mask: int, s_mask: int, e: int) -> float:
+        """Expected value of probing e now and acting optimally afterwards."""
+        ebit = 1 << e
+        pe = self.inst.p[e]
+        return pe * self.value(q_mask | ebit, s_mask | ebit) + (1.0 - pe) * self.value(
+            q_mask | ebit, s_mask
+        )
+
+
+def reference_adaptive_value(inst: ProbingInstance) -> float:
+    return AdaptiveRecursion(inst).value(0, 0)
 
 
 def optimal_policy_tree(inst: ProbingInstance) -> PolicyTree:
-    """Recover one optimal decision tree from the adaptive DP (stop on ties)."""
-    dp = _AdaptiveDP(inst)
+    """Recover one optimal decision tree from the adaptive recursion (stop on ties)."""
+    dp = AdaptiveRecursion(inst)
 
     def tree(q_mask: int, s_mask: int) -> PolicyTree:
         target = dp.value(q_mask, s_mask)
         if target <= dp.value_table[s_mask] + 1e-12:
             return None
-        for e in bits(dp.outer_ext[q_mask] & dp.inner_ext[s_mask]):
+        for e in _probe_candidates(inst, q_mask, s_mask):
             if dp.probe_value(q_mask, s_mask, e) >= target - 1e-12:
                 ebit = 1 << e
                 return (e, tree(q_mask | ebit, s_mask | ebit), tree(q_mask | ebit, s_mask))

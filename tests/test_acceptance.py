@@ -138,7 +138,7 @@ def test_criterion_5_drift_inequalities():
         x = state.x
         p = inst.p
         k = inst.k_out + inst.k_in
-        f_before = state.objective_value()
+        f_before = state.objective_value
         # outer terms decompose x, so their losses are scaled by p_i; inner
         # terms decompose p*x, so theirs are already in p_i x_i units
         scales = [p] * inst.k_out + [[1.0] * n] * inst.k_in
@@ -165,7 +165,7 @@ def test_criterion_5_drift_inequalities():
             deltas = np.array([p[i] * (x[i] - nxt.x[i]) for i in range(n)])
             deltas[e] = 0.0
             step_mean += prob * deltas
-            gain += prob * (nxt.objective_value() - f_before)
+            gain += prob * (nxt.objective_value - f_before)
             drop += prob * (state.z - nxt.z)
         assert abs(total - 1.0) <= 1e-12, f"state {si}: probabilities sum to {total!r}"
         outer_mean, inner_mean = update_mean[: inst.k_out], update_mean[inst.k_out :]

@@ -1,12 +1,12 @@
 """Monte Carlo harness: one transition graph per experiment (per worker under
 `jobs`) keeps sums exact (pinned bit for bit on three instances), runs
 `apply_step` once per distinct transition and certifies each state it
-interns once, the root included, restarts above STORE_CAP and is freed on
-return; a corrupted successor or root raises; the one policy walk gives
-traced and Monte Carlo runs the same values and stops a chain that does not
-end; each chunk seeds one RNG stream, so its sums do not depend on the worker
-or graph that walks it; `jobs` is checked and never starts more workers than
-there are chunks."""
+interns once, the root included, reads f(S) once per distinct terminal
+state, restarts above STORE_CAP and is freed on return; a corrupted
+successor or root raises; the one policy walk gives traced and Monte Carlo
+runs the same values and stops a chain that does not end; each chunk seeds
+one RNG stream, so its sums do not depend on the worker or graph that walks
+it; `jobs` is checked and never starts more workers than there are chunks."""
 
 import gc
 import math
@@ -155,6 +155,32 @@ def test_each_interned_state_is_certified_once(monkeypatch, roots):
     assert len(certified) < computed[0]  # some successors were duplicates
 
 
+def test_f_is_read_once_per_terminal_state(monkeypatch):
+    """f(S) is read once per distinct terminal state a walk ends in, not once
+    per trial (`test_sums_match_uncached_loop_bit_for_bit` checks the sums
+    against a read per trial)."""
+    inst = random_instance(5, n=7, k_in=1, k_out=2, objective="coverage")
+    x0 = solve_relaxation(inst).x0
+    expected = mc_policy_value(inst, x0, TRIALS, seed=1)
+    reads, ends = [0], {}  # id -> state, kept alive so no id is reused
+    value_mask = type(inst.objective).value_mask
+    walk = probe_kit.harness.walk
+
+    def counting_value_mask(self, mask):
+        reads[0] += 1
+        return value_mask(self, mask)
+
+    def recording_walk(root, rng, store):
+        state, n_steps = walk(root, rng, store)
+        ends[id(state)] = state
+        return state, n_steps
+
+    monkeypatch.setattr(type(inst.objective), "value_mask", counting_value_mask)
+    monkeypatch.setattr(probe_kit.harness, "walk", recording_walk)
+    assert mc_policy_value(inst, x0, TRIALS, seed=1) == expected
+    assert reads[0] == len(ends) < TRIALS
+
+
 @pytest.mark.parametrize("entry", ["mc_policy_value", "run_policy"])
 def test_an_uncertified_root_raises(entry, monkeypatch):
     """A root whose outer decomposition implies 0.9·x is caught when its
@@ -261,7 +287,7 @@ def test_traces_match_the_monte_carlo_walk(seed, objective):
         trace = run_policy(inst, x0, traced)
         for start, graph, rng in ((init_state(inst, x0), {}, fresh), (root, store, filled)):
             state, n_steps = walk(start, rng, graph)
-            assert (state.objective_value(), n_steps) == (trace.final_value, len(trace))
+            assert (state.objective_value, n_steps) == (trace.final_value, len(trace))
         total += trace.final_value
         steps += len(trace)
     assert len(store) < steps  # the filled graph was walked again

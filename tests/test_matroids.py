@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -289,6 +290,10 @@ class TestRankTable:
         assert type(m._tbl) is list
         assert all(type(r) is int for r in m._tbl)
         assert m._tbl == expected
+        # the array form, built once, read-only
+        table = m.rank_array()
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.tolist() == expected and m.rank_array() is table
 
     @pytest.mark.parametrize(
         "n, parts, caps",

@@ -1,17 +1,20 @@
 """Exact adaptive-policy oracles: DP value and policy-tree evaluation."""
 
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from probe_kit.errors import CapabilityError
 from probe_kit.instances import ProbingInstance, gen_bipartite_matching
-from probe_kit.matroids import free_matroid, partition_matroid, uniform_matroid
-from probe_kit.objectives import linear_objective
+from probe_kit.matroids import Matroid, free_matroid, partition_matroid, uniform_matroid
+from probe_kit.objectives import coverage_objective, linear_objective
 from probe_kit.oracle import optimal_adaptive_value
 from probe_kit.seeding import spawn_rng
 from conftest import (
+    AdaptiveRecursion,
     optimal_policy_tree,
     policy_value_exact,
     random_instance,
@@ -79,17 +82,24 @@ class TestAdaptiveValue:
         )
         assert optimal_adaptive_value(inst) == pytest.approx(3.0)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         inst = _linear_instance(
             [0.5] * 13, [1.0] * 13, [], [uniform_matroid(13, 2)]
         )
-        with pytest.raises(CapabilityError):
+
+        def no_work(self):
+            raise AssertionError("extension table built above the cap")
+
+        # raised before any work: no extension table is built
+        monkeypatch.setattr(Matroid, "extension_masks", no_work)
+        with pytest.raises(CapabilityError, match="limited to 12 elements"):
             optimal_adaptive_value(inst)
 
 
 class TestMatchesReference:
-    """The extension-mask DP gives the per-state independence-call DP's value
-    exactly: same candidates, same order, same arithmetic."""
+    """The layered sweep gives the memoized recursion's value exactly: same
+    candidates, same arithmetic, and f(s) kept unless a probe is strictly
+    better."""
 
     @pytest.mark.parametrize("objective", ["linear", "coverage"])
     def test_random_instances(self, objective):
@@ -106,6 +116,98 @@ class TestMatchesReference:
         inst = gen_bipartite_matching(4, 4, [2] * 4, [2] * 4, 0.75, rng)
         assert inst.n == 12
         assert optimal_adaptive_value(inst) == reference_adaptive_value(inst)
+
+    @pytest.mark.parametrize("pool, draw", [(1, 7), (2027, 24)])
+    def test_benchmark_twelve_edge_slot(self, pool, draw):
+        # slot 0 of the benchmark's matching-wide pool: its first 12-edge draw
+        rng = spawn_rng(pool, "perfbench", "matching-wide", 0, draw)
+        inst = gen_bipartite_matching(4, 4, [2] * 4, [2] * 4, 0.9, rng)
+        assert inst.n == 12
+        assert optimal_adaptive_value(inst) == reference_adaptive_value(inst)
+
+    @pytest.mark.parametrize("objective", ["linear", "coverage", "weighted_matroid_rank"])
+    def test_no_inner_matroid(self, objective):
+        for seed in range(8):
+            inst = random_instance(
+                950 + seed, n=random.Random(seed).randint(1, 10), k_in=0,
+                objective=objective,
+            )
+            assert not inst.inner
+            assert optimal_adaptive_value(inst) == reference_adaptive_value(inst)
+
+    def test_contracted_matroids(self):
+        for seed in range(16):
+            rng = random.Random(seed)
+            inst = random_instance(970 + seed, n=rng.randint(3, 9), k_in=rng.randint(1, 2))
+            contracted = [_contract_some(m, rng) for m in inst.inner + inst.outer]
+            inst = ProbingInstance(
+                n=inst.n, p=inst.p, objective=inst.objective,
+                inner=contracted[: len(inst.inner)], outer=contracted[len(inst.inner) :],
+            )
+            assert any(m.contracted for m in inst.inner + inst.outer)
+            assert optimal_adaptive_value(inst) == reference_adaptive_value(inst)
+
+    def test_certain_and_impossible_probes(self):
+        for seed in range(16):
+            rng = random.Random(seed)
+            inst = random_instance(990 + seed, n=rng.randint(2, 9))
+            p = [rng.choice([0.0, 1.0, inst.p[e]]) for e in range(inst.n)]
+            inst = ProbingInstance(
+                n=inst.n, p=p, objective=inst.objective, inner=inst.inner, outer=inst.outer
+            )
+            assert optimal_adaptive_value(inst) == reference_adaptive_value(inst)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("inner", [[], [uniform_matroid(1, 1)]])
+    def test_single_element(self, p, inner):
+        inst = _linear_instance([p], [2.5], inner, [uniform_matroid(1, 1)])
+        assert optimal_adaptive_value(inst) == reference_adaptive_value(inst) == p * 2.5
+
+    def test_dense_uniform(self):
+        # U(10, 10) outer and no inner matroid: all 3^10 states are reachable
+        inst = _dense_instance(10)
+        reference = AdaptiveRecursion(inst)
+        assert optimal_adaptive_value(inst) == reference.value(0, 0)
+        assert len(reference.memo) == 3**10
+
+    def test_sweep_peak_is_below_the_recursion(self):
+        # only each layer's keys are kept, so the sweep's traced peak stays
+        # below the recursion's memo of all 3^n states
+        inst = _dense_instance(8)
+        sweep, sweep_peak = _traced(optimal_adaptive_value, inst)
+        recursion, recursion_peak = _traced(AdaptiveRecursion(inst).value, 0, 0)
+        assert sweep == recursion
+        assert sweep_peak < recursion_peak
+
+
+def _dense_instance(n):
+    """A coverage objective on U(n, n) with no inner matroid: every (q, s)
+    with s within q is reachable."""
+    return ProbingInstance(
+        n=n, p=[0.05 + 0.09 * e for e in range(n)],
+        objective=coverage_objective(
+            [[e % 6, (3 * e + 1) % 6] for e in range(n)], [1.0 + u for u in range(6)]
+        ),
+        inner=[], outer=[uniform_matroid(n, n)],
+    )
+
+
+def _traced(fn, *args):
+    """fn(*args) and the peak bytes `tracemalloc` saw it allocate."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _contract_some(m, rng):
+    """m contracted by a random independent set of up to two elements."""
+    for e in rng.sample(range(m.ground_size), min(2, m.ground_size)):
+        if rng.random() < 0.7 and m.indep_mask(1 << e):
+            m = m.contract(e)
+    return m
 
 
 class TestPolicyTree:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import probe_kit.polytope
 from probe_kit.matroids import (
+    bits,
     free_matroid,
     graphic_matroid,
     partition_matroid,
@@ -15,11 +16,14 @@ from probe_kit.matroids import (
 )
 from probe_kit.errors import CapabilityError
 from probe_kit.instances import ProbingInstance
+from probe_kit.instances import _random_matroid as _random_instance_matroid
 from probe_kit.objectives import linear_objective
 from probe_kit.polytope import (
     EPS,
     _decompose_lp,
     _fit,
+    _max_violation,
+    _subset_sums,
     decompose_masks,
     implied_vector_masks,
     in_polytope,
@@ -28,6 +32,7 @@ from probe_kit.polytope import (
     within,
 )
 from probe_kit.relaxation import relaxation_feasible
+from conftest import in_polytope_loop, max_violation_loop, step_cap_loop
 
 NAN = float("nan")
 INF = float("inf")
@@ -193,6 +198,120 @@ class TestCutToNPlusOne:
         assert self._assert_cut(fits, n) == trimmed
         assert all(any(mask & ~orig == 0 for orig in masks) for _, mask in trimmed)
         assert within(implied_vector_masks(trimmed, n), target, EPS + 1e-12)
+
+
+class TestSubsetScans:
+    """`_subset_sums` gives every submask of the support with the loop's
+    x(A), so membership and the peel's step equal their submask loops in
+    `tests/conftest.py` with ==."""
+
+    TOLS = (0.0, 1e-12, 1e-9)
+
+    @staticmethod
+    def _matroid(rng, n):
+        m = _random_instance_matroid(n, rng)
+        if rng.random() < 0.3:
+            e = rng.randrange(n)
+            if m.indep_mask(1 << e):
+                m = m.contract(e)
+        return m
+
+    @staticmethod
+    def _dense_point(m, rng, scale=0.999):
+        """A random convex combination of 1-6 bases of m, times `scale`."""
+        n = m.ground_size
+        weights = [rng.random() for _ in range(rng.randint(1, 6))]
+        x = [0.0] * n
+        for w in weights:
+            order = list(range(n))
+            rng.shuffle(order)
+            b = m.max_independent_subset(order)
+            for i in bits(b):
+                x[i] += scale * w / sum(weights)
+        return x
+
+    @classmethod
+    def _points(cls, m, rng):
+        """Random points of P(m), sparse and dense, one pushed out by up to
+        10%, dyadic points with x(A) = r(A) on some A, and copies with
+        coordinates within +-tol of 0, on a contracted element too."""
+        n = m.ground_size
+        yield _random_point(m, rng)
+        x = cls._dense_point(m, rng)
+        yield x
+        yield [v * rng.uniform(1.0, 1.1) for v in x]
+        order = list(range(n))
+        rng.shuffle(order)
+        b = m.max_independent_subset(order)
+        yield [0.5 * (b >> i & 1) + 0.25 * (i == order[0]) for i in range(n)]
+        yield [float(b >> i & 1) for i in range(n)]
+        for tol in cls.TOLS[1:]:
+            near = list(x)
+            for i in rng.sample(range(n), rng.randint(1, n)):
+                near[i] = tol * rng.choice([-1.5, -1.0, -0.5, 0.5, 1.0, 1.5])
+            yield near
+
+    def test_subset_sums_enumerate_every_submask(self):
+        x = [0.1, 0.2, 0.3, 0.7, 1e-17]
+        for support in (0, 0b1, 0b10110, 0b11111):
+            masks, sums = _subset_sums(x, support)
+            assert sorted(masks.tolist()) == [a for a in range(32) if a & ~support == 0]
+            for a, total in zip(masks.tolist(), sums.tolist()):
+                expected = 0.0
+                for i in range(5):
+                    if a >> i & 1:
+                        expected += x[i]
+                assert total == expected
+
+    def test_membership_matches_loop(self):
+        rng = random.Random(2301)
+        for _ in range(300):
+            m = self._matroid(rng, rng.randint(1, 12))
+            for x in self._points(m, rng):
+                for tol in self.TOLS:
+                    assert in_polytope(m, x, tol) == in_polytope_loop(m, x, tol)
+                support = sum(1 << i for i, v in enumerate(x) if v > 0.0)
+                assert _max_violation(m, x, support) == max_violation_loop(m, x, support)
+
+    def test_contracted_and_boundary_cases(self):
+        m = uniform_matroid(4, 2).contract(1)  # rank 1 on {0, 2, 3}, 1 a loop
+        for x in (
+            [0.5, 0.0, 0.5, 0.0],  # x(A) = r(A)
+            [0.5, 1e-12, 0.5, 0.0],  # a contracted element within tol 1e-12 of 0
+            [0.5, -1e-9, 0.25, 0.25],
+            [0.5, 2e-12, 0.5, 0.0],
+            [0.25, 0.0, 0.25, 0.5 + 1e-12],
+        ):
+            for tol in self.TOLS:
+                assert in_polytope(m, x, tol) == in_polytope_loop(m, x, tol), (x, tol)
+
+    @staticmethod
+    def _peel_pair(m, x):
+        """decompose_masks(m, x) and the same peel with the loop step."""
+        terms = decompose_masks(m, x)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(probe_kit.polytope, "_step_cap", step_cap_loop)
+            return terms, decompose_masks(m, x)
+
+    def test_peel_matches_loop(self):
+        rng = random.Random(2302)
+        for _ in range(300):
+            m = self._matroid(rng, rng.randint(1, 12))
+            if rng.random() < 0.3:
+                x = _random_point(m, rng)
+            else:  # on the boundary of P(m) at scale 1, where more caps bind
+                x = self._dense_point(m, rng, rng.choice([0.999, 1.0]))
+            terms, reference = self._peel_pair(m, x)
+            assert terms == reference
+
+    def test_wide_uniform_half(self):
+        m = uniform_matroid(16, 8)
+        x = [0.5] * 16
+        assert in_polytope(m, x, 0.0) and in_polytope_loop(m, x, 0.0)
+        assert _max_violation(m, x, 0xFFFF) == max_violation_loop(m, x, 0xFFFF) == 0.0
+        terms, reference = self._peel_pair(m, x)
+        assert terms == reference
+        assert within(implied_vector_masks(terms, 16), x, EPS)
 
 
 class TestSupportUpdate:
