@@ -16,7 +16,10 @@
 # which must then never be probed (E[OPT] 0.5); a hand-written 16-element
 # instance, at the cap, contracts 3 elements of its uniform outer matroid and
 # 2 of its partition inner one (verify prints ok, and run reports a null
-# oracle, since |E| is above the oracle's cap); a run with 1100 trials (three
+# oracle, since |E| is above the oracle's cap); a hand-written 16-edge
+# instance whose outer matroid is graphic, K6 plus a pendant edge, builds its
+# 254 dependent flats at the cap with numpy (verify prints ok, and run reports
+# a null oracle); a run with 1100 trials (three
 # chunks) writes the same report bytes under --jobs 2, a real worker pool, as
 # under --jobs 1; verify runs every check on a 16-element complete bipartite
 # matching (stdout ok, empty stderr) and exits 2 when its outer matroid is
@@ -86,6 +89,17 @@ probe-kit run --instance "$d/contracted16.json" --trials 200 --seed 0 \
     --out "$d/contracted16-report.json"
 python -c "import json, sys; r = json.load(open(sys.argv[1]));
 assert r['oracle_value'] is None, r" "$d/contracted16-report.json"
+python -c "import itertools, json, sys;
+edges = [list(e) for e in itertools.combinations(range(6), 2)] + [[5, 6]]
+json.dump({'ground': {'size': 16}, 'p': [0.5] * 16,
+'objective': {'kind': 'linear', 'weights': [1.0 + e % 3 for e in range(16)]},
+'inner': [], 'outer': [{'kind': 'graphic', 'n_vertices': 7, 'edges': edges}]},
+open(sys.argv[1], 'w'))" "$d/graphic16.json"
+test "$(probe-kit verify --instance "$d/graphic16.json")" = ok
+probe-kit run --instance "$d/graphic16.json" --trials 200 --seed 0 \
+    --out "$d/graphic16-report.json"
+python -c "import json, sys; r = json.load(open(sys.argv[1]));
+assert r['oracle_value'] is None, r" "$d/graphic16-report.json"
 for jobs in 1 2; do
     probe-kit run --instance "$d/inst.json" --trials 1100 --cg-steps 20 \
         --seed 0 --jobs "$jobs" --out "$d/jobs$jobs-report.json"

@@ -414,8 +414,12 @@ def _assert_state_feasible(state: PolicyState):
             raise InvariantViolation("success set dependent in an inner matroid")
     if any(state.x[i] != 0.0 for i in bits(state.q_mask)):
         raise InvariantViolation("probed coordinate not zeroed")
-    # decomposition round trips certify polytope membership of x and p*x;
-    # verify the certificates match the master vector
+    # every decomposition must imply its master vector: x for the outer
+    # matroids, p*x for the inner ones.  That certifies polytope membership
+    # only if each term B is independent in the state's contraction by C
+    # (B & C = 0 and B | C independent).  That is not checked here, on every
+    # new state; the tests check it (TestTrimmedDecompositions) on every step
+    # of their trim cases
     for terms, vec in (
         (state.outer_terms, state.x),
         (state.inner_terms, [inst.p[i] * state.x[i] for i in range(inst.n)]),

@@ -45,6 +45,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 from typing import Callable, List, Optional, Tuple
 
 from .engine import (
@@ -192,10 +193,6 @@ def _run_chunks(inst: ProbingInstance, x0, seed: int, chunks) -> List[tuple]:
     return results
 
 
-def _run_chunks_star(args):
-    return _run_chunks(*args)
-
-
 def mc_policy_value(
     inst: ProbingInstance, x0, trials: int, seed: int, jobs: int = 1
 ) -> Tuple[float, float, float]:
@@ -212,7 +209,7 @@ def mc_policy_value(
         # fork starts every worker at the first submit: never more than chunks
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_worker = list(
-                pool.map(_run_chunks_star, [(inst, list(x0), seed, s) for s in shares])
+                pool.map(_run_chunks, repeat(inst), repeat(list(x0)), repeat(seed), shares)
             )
         results = [r for share in per_worker for r in share]
     else:

@@ -3,13 +3,15 @@ independent sets.
 
 Elements are dense integer indices 0..n-1.  Internally sets are bitmasks; the
 public API accepts any iterable of element indices.  A matroid is its rank
-table over the full 2^n lattice, built by one constructor per kind (uniform,
-partition, graphic, explicit) that also lists the kind's polytope rows and
-records its JSON form.  A contraction is a matroid with its own table, built
-in one numpy pass, so every oracle is one table lookup in the Monte Carlo
-hot loop and no other module knows a matroid was contracted.  The axiom
-check reads local rank conditions off the same table.  Ground sets are
-capped at GROUND_CAP elements so that table always exists.
+table over the full 2^n lattice, one read-only int64 array built with numpy
+by one constructor per kind (uniform, partition, graphic, explicit), which
+also records its JSON form and, for partitions, lists the polytope rows.  A
+contraction is a matroid with its own table, built in one numpy pass, so
+every oracle is one table read in the Monte Carlo hot loop and no other
+module knows a matroid was contracted.  The dependent flats and the axiom
+check read local rank conditions off the same table, one numpy pass per
+element.  Ground sets are capped at GROUND_CAP elements so that table always
+exists.
 """
 
 from __future__ import annotations
@@ -58,19 +60,18 @@ def _popcounts(n: int) -> np.ndarray:
     return counts
 
 
-def _dependent_flats(rank_mask, n: int) -> list:
-    """Masks F over 0..n-1 with r(F) < |F| and r(F + e) > r(F) for every e not in F.
+def _dependent_flats(t: np.ndarray, n: int) -> list:
+    """Masks F over 0..n-1 with r(F) < |F| and r(F + e) > r(F) for every e
+    not in F, ascending, for the rank table t: a dependent mask stays a flat
+    unless one of its gains (`table_gains`) is 0.
 
     Only these rank rows are needed: the row of a set A is implied by the row
     of its closure and x >= 0, and the row of an independent set by x <= 1.
     """
-    full = (1 << n) - 1
-    flats = []
-    for f in range(1, 1 << n):
-        r = rank_mask(f)
-        if r < f.bit_count() and all(rank_mask(f | 1 << e) > r for e in bits(full & ~f)):
-            flats.append(f)
-    return flats
+    flat = t < _popcounts(n)
+    for _, a, gain in table_gains(t, n):
+        flat[a[gain == 0]] = False
+    return np.flatnonzero(flat).tolist()
 
 
 class Matroid:
@@ -78,24 +79,24 @@ class Matroid:
     elements contracted.
 
     `spec` is the matroid's JSON form, `table` the rank of every mask over the
-    2^n lattice, and `rows` the masks whose rank rows cut out its polytope
-    (None: the dependent flats).  A contraction M/C is a matroid of its own:
-    its spec lists C under "contracted" and its table is r(S | C) - |C|, so a
-    contracted element is a loop.  `_exchange_memo` holds the exchange maps
-    built for this matroid (see `_exchange_mapping_masks`), and `_array` the
-    table as an array once `rank_array` has built it.
+    2^n lattice as an int64 array, which the matroid makes read-only and keeps
+    as its one rank table, and `rows` the masks whose rank rows cut out its
+    polytope (None: the dependent flats).  A contraction M/C is a matroid of
+    its own: its spec lists C under "contracted" and its table is
+    r(S | C) - |C|, so a contracted element is a loop.  `_exchange_memo` holds
+    the exchange maps built for this matroid (see `_exchange_mapping_masks`).
     """
 
-    __slots__ = ("_spec", "_tbl", "_rows", "_n", "_cmask", "_exchange_memo", "_array")
+    __slots__ = ("_spec", "_tbl", "_rows", "_n", "_cmask", "_exchange_memo")
 
-    def __init__(self, spec: dict, table: list, rows=None):
+    def __init__(self, spec: dict, table: np.ndarray, rows=None):
+        table.flags.writeable = False
         self._spec = spec
         self._tbl = table
         self._rows = rows
         self._n = len(table).bit_length() - 1
         self._cmask = mask_of(spec.get("contracted", ()))
         self._exchange_memo = {}
-        self._array = None
 
     # -- public set-based API ------------------------------------------------
 
@@ -131,7 +132,7 @@ class Matroid:
         return self.rank_mask(mask)
 
     def full_rank(self) -> int:
-        return self._tbl[-1]
+        return self._tbl.item(-1)
 
     def contract(self, e: int) -> "Matroid":
         bit = 1 << e
@@ -140,10 +141,9 @@ class Matroid:
         self._check_subset(bit)
         if not self.indep_mask(bit):
             raise ValueError(f"cannot contract loop element {e}")
-        t = self.rank_array()
-        table = t[np.arange(len(t), dtype=np.int64) | bit] - 1
+        table = self._tbl[np.arange(1 << self._n, dtype=np.int64) | bit] - 1
         spec = {**self._spec, "contracted": sorted(bits(self._cmask | bit))}
-        return Matroid(spec, table.tolist())
+        return Matroid(spec, table)
 
     def max_independent_subset(self, order: Iterable[int]) -> int:
         """Greedy: scan `order`, keep an element if it stays independent.
@@ -161,19 +161,16 @@ class Matroid:
     # -- mask-based fast path -------------------------------------------------
 
     def rank_mask(self, mask: int) -> int:
-        return self._tbl[mask]
+        return self._tbl.item(mask)
 
     def rank_array(self) -> np.ndarray:
-        """The rank table as a read-only int64 array, built on first use, for
-        gathers over many masks (`rank_mask` reads the list, faster per mask)."""
-        if self._array is None:
-            self._array = np.asarray(self._tbl, dtype=np.int64)
-            self._array.flags.writeable = False
-        return self._array
+        """The rank table itself, read-only int64 and indexed by mask, for
+        gathers over many masks."""
+        return self._tbl
 
     def indep_mask(self, mask: int) -> bool:
         """r(S) = |S|, so a contracted element, a loop of M/C, is dependent."""
-        return self._tbl[mask] == mask.bit_count()
+        return self._tbl.item(mask) == mask.bit_count()
 
     def extension_masks(self) -> np.ndarray:
         """For every mask A, the mask of the elements e not in A with A + e
@@ -181,7 +178,7 @@ class Matroid:
         vector passes."""
         n = self._n
         masks = np.arange(1 << n, dtype=np.int64)
-        indep = self.rank_array() == _popcounts(n)
+        indep = self._tbl == _popcounts(n)
         ext = np.zeros(1 << n, dtype=np.int64)
         for e in range(n):
             ext |= (indep[masks | 1 << e] & (masks >> e & 1 == 0)).astype(np.int64) << e
@@ -190,12 +187,12 @@ class Matroid:
     def polytope_row_masks(self) -> list:
         """Masks A whose rank rows x(A) <= r(A), with 0 <= x <= 1, cut out P(M).
 
-        These are the dependent flats, unless the kind listed fewer rows that
-        imply the rest.  Contracted elements count as loops, so they fall into
-        every row's closure and x must vanish on them.
+        These are the dependent flats, unless the kind (partition) listed
+        fewer rows that imply the rest.  Contracted elements count as loops, so
+        they fall into every row's closure and x must vanish on them.
         """
         if self._rows is None:
-            return _dependent_flats(self.rank_mask, self._n)
+            return _dependent_flats(self._tbl, self._n)
         return list(self._rows)
 
     # -- serialization ---------------------------------------------------------
@@ -246,7 +243,7 @@ class Matroid:
 
 # ---------------------------------------------------------------------------
 # Constructors: each checks the ground-set size before any 2^n work, then
-# builds the rank table, lists the polytope rows and records the JSON form.
+# builds the rank table and records the JSON form.
 # ---------------------------------------------------------------------------
 
 
@@ -254,9 +251,7 @@ def uniform_matroid(n: int, k: int) -> Matroid:
     check_ground_size(n)
     if not 0 <= k:
         raise ValueError("uniform matroid needs k >= 0")
-    table = np.minimum(_popcounts(n), k).tolist()
-    rows = [(1 << n) - 1] if k < n else []
-    return Matroid({"kind": "uniform", "n": n, "k": k}, table, rows)
+    return Matroid({"kind": "uniform", "n": n, "k": k}, np.minimum(_popcounts(n), k))
 
 
 def partition_matroid(n: int, parts, capacities) -> Matroid:
@@ -286,10 +281,10 @@ def partition_matroid(n: int, parts, capacities) -> Matroid:
         "parts": [sorted(p) for p in parts],
         "capacities": list(capacities),
     }
-    return Matroid(spec, table.tolist(), rows)
+    return Matroid(spec, table, rows)
 
 
-def _forest_rank_table(edges: list) -> list:
+def _forest_rank_table(edges: list) -> np.ndarray:
     """Rank of every edge set: |touched vertices| - |components|, by doubling.
 
     Each mask keeps a component label per vertex.  A mask whose highest edge
@@ -305,7 +300,7 @@ def _forest_rank_table(edges: list) -> list:
         lu, lv = lab[:, vertex[u]], lab[:, vertex[v]]
         labels[1 << b : 2 << b] = np.where(lab == lu[:, None], lv[:, None], lab)
         rank[1 << b : 2 << b] = rank[: 1 << b] + (lu != lv)
-    return rank.tolist()
+    return rank
 
 
 def graphic_matroid(n_vertices: int, edges) -> Matroid:
@@ -347,7 +342,7 @@ def explicit_matroid(n: int, independent_sets) -> Matroid:
         "n": n,
         "independent_sets": [list(bits(m)) for m in np.flatnonzero(closed).tolist()],
     }
-    return Matroid(spec, table.tolist())
+    return Matroid(spec, table)
 
 
 def free_matroid(n: int) -> Matroid:

@@ -1,13 +1,14 @@
 """Objectives as value tables, and the exact multilinear extension F.
 
 An objective is its JSON form and its value f(S) on every mask S of the 2^n
-lattice, as one read-only float64 array; `value_mask` and `value` return
-Python floats.  One constructor per kind (linear, coverage, weighted matroid
-rank) validates its input, checks the ground size against GROUND_CAP and
-builds the table with numpy passes over all masks.  Each entry is a sum of
-weights added in ascending index order from 0.0, so it equals Python's `sum`
-over the same weights bit for bit.  The structure check reads normalization,
-monotonicity and submodularity off the table.
+lattice, as one read-only float64 array; `value_mask` and `value` read it
+with `ndarray.item`, which returns a Python float.  One constructor per kind
+(linear, coverage, weighted matroid rank) validates its input, checks the
+ground size against GROUND_CAP and builds the table with numpy passes over
+all masks.  Each entry is a sum of weights added in ascending index order
+from 0.0, so it equals Python's `sum` over the same weights bit for bit.  The
+structure check reads normalization, monotonicity and submodularity off the
+table.
 
 F(y) is the one evaluator of the multilinear extension: the product weights
 Pr_y[R] over all 2^n masks, dotted with the table.  Continuous greedy and the
@@ -38,13 +39,13 @@ class Objective:
         self.is_linear = spec["kind"] == "linear"
 
     def value_mask(self, mask: int) -> float:
-        return float(self._table[mask])
+        return self._table.item(mask)
 
     def value(self, s: Iterable[int]) -> float:
         mask = mask_of(s)
         if mask >> self.n:
             raise ValueError("element outside the objective's ground set")
-        return float(self._table[mask])
+        return self._table.item(mask)
 
     def value_table(self) -> np.ndarray:
         """All 2^n values, indexed by mask, as a read-only float64 array."""

@@ -26,7 +26,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .matroids import Matroid, _exchange_mapping_masks, bits
+from .matroids import Matroid, _exchange_mapping_masks, _popcounts, bits
 
 EPS = 1e-9
 MAX_PEEL_FACTOR = 6  # peel iterations allowed per support element before LP fallback
@@ -220,15 +220,15 @@ def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
 
 def _decompose_lp(m: Matroid, x: Sequence[float]) -> MaskTerms:
     """Exact fallback: `_fit` of x, the point `decompose_masks` clamped into
-    [0, 1], over all independent subsets of supp(x); raises its ValueError."""
+    [0, 1], over all independent subsets of supp(x); raises its ValueError.
+
+    The columns are the empty set, then the independent nonempty submasks in
+    descending order: `_subset_sums` lists the submasks ascending, and the
+    popcount of each is that of its index."""
     support = _support_mask(x)
-    columns = [0]
-    sub = support
-    while sub:
-        if m.indep_mask(sub):
-            columns.append(sub)
-        sub = (sub - 1) & support
-    return _fit(columns, x)
+    masks = _subset_sums(x, support)[0][:0:-1]
+    indep = m.rank_array()[masks] == _popcounts(support.bit_count())[:0:-1]
+    return _fit([0] + masks[indep].tolist(), x)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def _polytope_rows(inst: ProbingInstance) -> Tuple[np.ndarray, np.ndarray]:
     """Rank rows of every matroid, only for the masks it lists as needed.
 
     Each matroid contributes one row per mask from `polytope_row_masks`: its
-    dependent flats, or one per dependent part or uniform budget.  Outer
+    dependent flats, or for a partition one per dependent part.  Outer
     matroids constrain x directly; inner matroids constrain p * x.  The rows
     omitted are implied by these and 0 <= x <= 1, so the feasible region is
     the intersection of the full rank-constraint polytopes.

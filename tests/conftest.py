@@ -14,6 +14,7 @@ from probe_kit.errors import CapabilityError, InvariantViolation
 from probe_kit.instances import ProbingInstance, gen_random
 from probe_kit.matroids import Matroid, _exchange_mapping_masks, bits, mask_of, set_of
 from probe_kit.objectives import Objective
+from probe_kit.polytope import EPS
 from probe_kit.relaxation import (
     LinearProgram,
     _polytope_rows,
@@ -348,6 +349,41 @@ def objective_structure_violations_loop(f: Objective) -> list:
             if table[s | t] + table[s & t] > table[s] + table[t] + 1e-9:
                 problems.append(f"submodularity fails at masks {s:b}, {t:b}")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Lattice and submask walks, the references for `matroids._dependent_flats`
+# and the columns of `polytope._decompose_lp`
+# ---------------------------------------------------------------------------
+
+
+def dependent_flats_loop(m: Matroid) -> list:
+    """Masks F with r(F) < |F| and r(F + e) > r(F) for every e not in F,
+    ascending, by a walk over the lattice."""
+    n = m.ground_size
+    full = (1 << n) - 1
+    flats = []
+    for f in range(1, 1 << n):
+        r = m.rank_mask(f)
+        if r < f.bit_count() and all(m.rank_mask(f | 1 << e) > r for e in bits(full & ~f)):
+            flats.append(f)
+    return flats
+
+
+def decompose_lp_columns_loop(m: Matroid, x: Sequence[float]) -> list:
+    """The empty set, then the independent nonempty submasks of supp(x) in
+    descending order, by a walk over the submasks."""
+    support = 0
+    for i, v in enumerate(x):
+        if v > EPS:
+            support |= 1 << i
+    columns = [0]
+    sub = support
+    while sub:
+        if m.indep_mask(sub):
+            columns.append(sub)
+        sub = (sub - 1) & support
+    return columns
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,11 @@ def _trim_cases():
         rng = spawn_rng(seed, "trim-matching")
         inst = gen_bipartite_matching(3, 3, [2] * 3, [1] * 3, 0.9, rng)
         yield inst, solve_relaxation(inst).x0
+    # as wide as a matching-wide slot: 4x4, patience 2, |E| >= 12
+    rng = spawn_rng(0, "trim-matching-wide")
+    inst = gen_bipartite_matching(4, 4, [2] * 4, [2] * 4, 0.9, rng)
+    assert inst.n >= 12
+    yield inst, solve_relaxation(inst).x0
 
 
 def _assert_exact_decompositions(state):

@@ -351,10 +351,10 @@ class InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable):
-        args = list(iterable)
+    def map(self, fn, *iterables):
+        args = list(zip(*iterables))
         self.calls.append(args)
-        return map(fn, args)
+        return (fn(*a) for a in args)
 
 
 @pytest.fixture()

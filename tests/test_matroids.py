@@ -30,6 +30,7 @@ from probe_kit.matroids import (
 
 from conftest import (
     ExchangeMap,
+    dependent_flats_loop,
     downward_closure,
     exchange_map,
     exchange_map_violations,
@@ -113,7 +114,7 @@ class TestContraction:
         for _ in range(200):
             n = rng.randint(1, 8)
             m = _random_matroid(n, rng)
-            before = list(m._tbl)
+            before = m.rank_array().tolist()
             cmask = m.max_independent_subset(rng.sample(range(n), rng.randint(0, n)))
             c = list(bits(cmask))
             contracted = []
@@ -123,13 +124,15 @@ class TestContraction:
                     mc = mc.contract(e)
                 contracted.append(mc)
             a, b = contracted
-            assert a._tbl == [m._tbl[s | cmask] - len(c) for s in range(1 << n)]
-            assert m._tbl == before
-            assert a._tbl == b._tbl
+            table = m.rank_array().tolist()
+            assert a.rank_array().tolist() == [table[s | cmask] - len(c) for s in range(1 << n)]
+            assert table == before
+            assert a.rank_array().tolist() == b.rank_array().tolist()
             assert a.contracted == set_of(cmask)
             assert a.to_json() == b.to_json()
             loaded = Matroid.from_json(a.to_json())
-            assert (loaded._tbl, loaded.to_json()) == (a._tbl, a.to_json())
+            assert loaded.rank_array().tolist() == a.rank_array().tolist()
+            assert loaded.to_json() == a.to_json()
 
     def test_contracting_loop_rejected(self):
         m = explicit_matroid(2, [[], [0]])
@@ -287,13 +290,18 @@ class TestRankTable:
 
     @staticmethod
     def _assert_table(m, expected):
-        assert type(m._tbl) is list
-        assert all(type(r) is int for r in m._tbl)
-        assert m._tbl == expected
-        # the array form, built once, read-only
+        # one table: the stored read-only int64 array, which rank_array returns
         table = m.rank_array()
+        assert table is m._tbl and m.rank_array() is table
         assert table.dtype == np.int64 and not table.flags.writeable
-        assert table.tolist() == expected and m.rank_array() is table
+        assert table.tolist() == expected
+        # the per-mask oracles read it as Python ints and bools
+        ranks = [m.rank_mask(s) for s in range(len(expected))]
+        indep = [m.indep_mask(s) for s in range(len(expected))]
+        assert ranks == expected and {type(r) for r in ranks} == {int}
+        assert indep == [r == s.bit_count() for s, r in enumerate(expected)]
+        assert {type(i) for i in indep} == {bool}
+        assert type(m.full_rank()) is int and m.full_rank() == expected[-1]
 
     @pytest.mark.parametrize(
         "n, parts, caps",
@@ -520,7 +528,7 @@ class TestPolytopeRowMasks:
 
     @staticmethod
     def _flats(m):
-        return _dependent_flats(m.rank_mask, m.ground_size)
+        return dependent_flats_loop(m)
 
     def _assert_rows_imply_flats(self, m):
         # each flat's row must be a sum of disjoint listed rows plus unit bounds
@@ -588,6 +596,43 @@ class TestPolytopeRowMasks:
         assert mask_of([0]) in rows
         assert all(r & 1 for r in rows)
         assert uniform_matroid(4, 2).contract(1).polytope_row_masks() == [0b0010, 0b1111]
+
+
+class TestDependentFlats:
+    """`_dependent_flats`, one numpy pass per element, against the lattice
+    walk in conftest, with ==."""
+
+    @staticmethod
+    def _assert_flats(m):
+        assert _dependent_flats(m.rank_array(), m.ground_size) == dependent_flats_loop(m)
+
+    def test_random_matroids_of_every_kind(self):
+        rng = random.Random(2401)
+        kinds = set()
+        for _ in range(240):
+            n = rng.randint(1, 10)
+            m = _random_matroid(n, rng)
+            kinds.add(m.kind_name)
+            for e in rng.sample(range(n), rng.randint(0, min(2, n))):
+                if m.indep_mask(1 << e):
+                    m = m.contract(e)
+            self._assert_flats(m)
+        assert kinds == {"uniform", "partition", "graphic", "explicit"}
+
+    def test_uniform_every_budget(self):
+        for n in range(9):
+            for k in range(n + 1):
+                m = uniform_matroid(n, k)
+                self._assert_flats(m)
+                assert m.polytope_row_masks() == ([(1 << n) - 1] if k < n else [])
+
+    def test_graphic_at_cap(self):
+        # K6 plus a pendant edge: 16 edges
+        m = graphic_matroid(7, list(itertools.combinations(range(6), 2)) + [(5, 6)])
+        assert m.ground_size == GROUND_CAP
+        flats = m.polytope_row_masks()
+        assert flats == dependent_flats_loop(m)
+        assert len(flats) == 254
 
 
 def _random_small_matroid(rng):

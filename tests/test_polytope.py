@@ -32,7 +32,12 @@ from probe_kit.polytope import (
     within,
 )
 from probe_kit.relaxation import relaxation_feasible
-from conftest import in_polytope_loop, max_violation_loop, step_cap_loop
+from conftest import (
+    decompose_lp_columns_loop,
+    in_polytope_loop,
+    max_violation_loop,
+    step_cap_loop,
+)
 
 NAN = float("nan")
 INF = float("inf")
@@ -202,8 +207,8 @@ class TestCutToNPlusOne:
 
 class TestSubsetScans:
     """`_subset_sums` gives every submask of the support with the loop's
-    x(A), so membership and the peel's step equal their submask loops in
-    `tests/conftest.py` with ==."""
+    x(A), so membership, the peel's step and the exact fallback's columns
+    equal their submask loops in `tests/conftest.py` with ==."""
 
     TOLS = (0.0, 1e-12, 1e-9)
 
@@ -312,6 +317,22 @@ class TestSubsetScans:
         terms, reference = self._peel_pair(m, x)
         assert terms == reference
         assert within(implied_vector_masks(terms, 16), x, EPS)
+        assert _decompose_lp(m, x) == _fit(decompose_lp_columns_loop(m, x), x)
+
+    def test_fallback_columns_match_loop(self):
+        rng = random.Random(2401)
+        for _ in range(150):
+            m = self._matroid(rng, rng.randint(1, 9))
+            x = _random_point(m, rng) if rng.random() < 0.5 else self._dense_point(m, rng)
+            columns = decompose_lp_columns_loop(m, x)
+            seen = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    probe_kit.polytope, "_fit", lambda masks, y: seen.append(masks) or _fit(masks, y)
+                )
+                terms = _decompose_lp(m, x)
+            assert seen == [columns]
+            assert terms == _fit(columns, x)
 
 
 class TestSupportUpdate:
