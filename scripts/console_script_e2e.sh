@@ -22,14 +22,17 @@
 # a null oracle); a run with 1100 trials (three
 # chunks) writes the same report bytes under --jobs 2, a real worker pool, as
 # under --jobs 1; verify runs every check on a 16-element complete bipartite
-# matching (stdout ok, empty stderr) and exits 2 when its outer matroid is
-# swapped for an explicit non-matroid; a generator asked for |E| = 21 exits 3
+# matching (stdout ok, empty stderr), whose 1100-trial run also writes the
+# same bytes under --jobs 1 and --jobs 2 (its workers build exchange maps and
+# walk with the cyclic collector paused), and exits 2 when its outer matroid
+# is swapped for an explicit non-matroid; a generator asked for |E| = 21 exits 3
 # and writes no file; and a run whose --out directory is missing, or whose
 # --out is a directory, exits 1 without a traceback, before the experiment:
 # with 10^8 trials it must not reach its 20 s timeout. Last, start-up:
 # under PYTHONPROFILEIMPORTTIME, --help and generate never import
-# scipy.optimize, and a run, whose first solve imports it, must name it in
-# the same log, which shows that the check can see the import.
+# scipy.optimize or multiprocessing, and a run must name scipy.optimize (its
+# first solve imports it) and, under --jobs 2, multiprocessing (the worker
+# pool imports it) in the same log, which shows that the check can see them.
 set -euo pipefail
 
 d="${1:-$(mktemp -d)}"
@@ -111,6 +114,11 @@ probe-kit verify --instance "$d/matching16.json" > "$d/matching16.out" \
     2> "$d/matching16.err"
 test "$(cat "$d/matching16.out")" = ok
 test ! -s "$d/matching16.err"
+for jobs in 1 2; do
+    probe-kit run --instance "$d/matching16.json" --trials 1100 --cg-steps 20 \
+        --seed 0 --jobs "$jobs" --out "$d/matching16-jobs$jobs-report.json"
+done
+cmp "$d/matching16-jobs1-report.json" "$d/matching16-jobs2-report.json"
 python -c "import json, sys; doc = json.load(open(sys.argv[1]));
 assert doc['ground']['size'] == 16, doc['ground']
 doc['outer'][0] = {'kind': 'explicit', 'n': 16,
@@ -154,15 +162,21 @@ PYTHONPROFILEIMPORTTIME=1 probe-kit --help > /dev/null 2> "$d/help.imports"
 PYTHONPROFILEIMPORTTIME=1 probe-kit generate --size 4 --seed 5 \
     --out "$d/startup.json" > /dev/null 2> "$d/generate.imports"
 PYTHONPROFILEIMPORTTIME=1 probe-kit run --instance "$d/startup.json" \
-    --trials 10 --out "$d/startup-report.json" 2> "$d/run.imports"
+    --trials 600 --jobs 2 --out "$d/startup-report.json" 2> "$d/run.imports"
 for command in help generate; do
     if grep -qF scipy.optimize "$d/$command.imports"; then
         echo "$command imported scipy.optimize, which only a solve needs" >&2
         exit 1
     fi
+    if grep -qF multiprocessing "$d/$command.imports"; then
+        echo "$command imported multiprocessing, which only --jobs above 1 needs" >&2
+        exit 1
+    fi
 done
-if ! grep -qF scipy.optimize "$d/run.imports"; then
-    echo "run: the import-time log does not name scipy.optimize" >&2
-    exit 1
-fi
+for module in scipy.optimize multiprocessing; do
+    if ! grep -qF "$module" "$d/run.imports"; then
+        echo "run --jobs 2: the import-time log does not name $module" >&2
+        exit 1
+    fi
+done
 echo "console script end to end: ok"

@@ -11,11 +11,14 @@ to `support_update_masks` instead of building contracted copies.
 The sampled choices of one step are isolated in `StepChoices`, so the same
 deterministic core serves both the policy walk in `harness` (`apply_step`)
 and the exact one-step expectations of the drift checks (`support_updates`,
-the only code that applies the guided support update). Every draw reads
-the cumulative tables a state caches on first use (`element_table`,
-`guide_tables`), so a state the walk meets again draws without rebuilding
-them. `outcomes` enumerates the same tables: each choice `draw_choices` can
-return, with the probability that its draws give it.
+the only code that applies the guided support update). `draw_choices`
+returns a step's draws as one flat tuple, (e, active, outer guides...,
+inner guides...), which the walk hashes as the key of a state's successor;
+`StepChoices.from_draw` unpacks it for a step that is not yet in the graph.
+Every draw reads the cumulative tables a state caches on first use
+(`element_table`, `guide_tables`), so a state the walk meets again draws
+without rebuilding them. `outcomes` enumerates the same tables: each choice
+`draw_choices` can return, with the probability that its draws give it.
 
 `apply_step` only computes a successor. `intern` is the one place that
 certifies one: it stores a state by its value (`PolicyState.key`) and runs
@@ -60,6 +63,14 @@ class StepChoices(NamedTuple):
     outer_guides: Tuple[int, ...]
     inner_guides: Tuple[Optional[int], ...]
 
+    @classmethod
+    def from_draw(cls, inst: ProbingInstance, draw: tuple) -> "StepChoices":
+        """The choices of a `draw_choices` tuple; an inactive probe has the
+        inner guides None."""
+        k = 2 + len(inst.outer)
+        inner = draw[k:] if draw[1] else (None,) * len(inst.inner)
+        return cls(draw[0], draw[1], draw[2:k], inner)
+
 
 @dataclass
 class PolicyState:
@@ -69,8 +80,8 @@ class PolicyState:
     s_mask: int
     outer_terms: List[MaskTerms]
     inner_terms: List[MaskTerms]
-    # successor per drawn StepChoices, filled by `harness.walk`
-    children: Dict[StepChoices, "PolicyState"] = field(
+    # successor per `draw_choices` tuple, filled by `harness.walk`
+    children: Dict[tuple, "PolicyState"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _guides: Dict[int, tuple] = field(
@@ -225,8 +236,15 @@ def _draw_table(weighted: Iterable[Tuple[int, float]]) -> DrawTable:
 
 def _guide_table(terms: MaskTerms, e: int) -> Optional[DrawTable]:
     ebit = 1 << e
-    table = _draw_table((idx, w) for idx, (w, mask) in enumerate(terms) if mask & ebit)
-    return table if table[1] and table[1][-1] > 1e-15 else None
+    keys = []
+    sums = []
+    acc = 0.0
+    for idx, (w, mask) in enumerate(terms):
+        if mask & ebit:
+            acc += w
+            keys.append(idx)
+            sums.append(acc)
+    return (tuple(keys), tuple(sums)) if sums and acc > 1e-15 else None
 
 
 def select_element(state: PolicyState, rng: random.Random) -> Optional[int]:
@@ -241,9 +259,13 @@ def select_element(state: PolicyState, rng: random.Random) -> Optional[int]:
     return keys[k] if k < len(keys) else keys[-1]  # accumulated rounding at the tail
 
 
-def draw_choices(state: PolicyState, rng: random.Random) -> Optional[StepChoices]:
-    """Fixed draw order: element, probe outcome, outer guides, inner guides.
+def draw_choices(state: PolicyState, rng: random.Random) -> Optional[tuple]:
+    """One step's draws as a flat tuple (e, active, outer guides...,
+    inner guides...), or None at termination; an inactive probe draws no
+    inner guide, and an inner matroid whose terms holding e weigh nothing
+    gives the guide None. `StepChoices.from_draw` unpacks it.
 
+    Fixed draw order: element, probe outcome, outer guides, inner guides.
     Like the element, each guide is the first key of its table whose running
     sum exceeds a uniform draw scaled to the table total."""
     e = select_element(state, rng)
@@ -252,24 +274,22 @@ def draw_choices(state: PolicyState, rng: random.Random) -> Optional[StepChoices
     draw = rng.random
     active = draw() < state.inst.p[e]
     outer_tables, inner_tables = state.guide_tables(e)
-    outer = []
+    key = [e, active]
     for table in outer_tables:
         if table is None:
             raise InvariantViolation("no outer support term contains the probed element")
         keys, sums = table
         k = bisect_right(sums, draw() * sums[-1])
-        outer.append(keys[k] if k < len(keys) else keys[-1])
-    if not active:
-        return StepChoices(e, False, tuple(outer), (None,) * len(inner_tables))
-    inner = []
-    for table in inner_tables:
-        if table is None:
-            inner.append(None)
-            continue
-        keys, sums = table
-        k = bisect_right(sums, draw() * sums[-1])
-        inner.append(keys[k] if k < len(keys) else keys[-1])
-    return StepChoices(e, True, tuple(outer), tuple(inner))
+        key.append(keys[k] if k < len(keys) else keys[-1])
+    if active:
+        for table in inner_tables:
+            if table is None:
+                key.append(None)
+                continue
+            keys, sums = table
+            k = bisect_right(sums, draw() * sums[-1])
+            key.append(keys[k] if k < len(keys) else keys[-1])
+    return tuple(key)
 
 
 def _shares(table: Optional[DrawTable]) -> List[Tuple[Optional[int], float]]:

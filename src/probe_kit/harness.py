@@ -20,30 +20,36 @@ from a state to termination over a transition graph: every state
 `apply_step` returns goes through `engine.intern`, which keeps one state per
 value (`PolicyState.key`) in the graph's store and certifies each new one,
 and is recorded in the `children` of the state it came from, keyed by the
-drawn choices. A repeated step is then a draw from the state's cached tables
-and a dict lookup. `apply_step` runs once per distinct transition, and the
-feasibility assertion once per distinct state the graph holds: a successor
-equal to a stored state is dropped unchecked, since the certificate reads
-only what the key and the instance fix. The choices are still drawn on
-every step, so each trial consumes its chunk's RNG stream exactly as without
-reuse and the sums stay bit-identical. A walk of more than n steps raises `InvariantViolation`,
-since every step probes a new element. An optional sink sees each step as
-(state, choices, next state); `run_policy` uses one to record a `Trace`.
+flat tuple `draw_choices` returns. A repeated step is then a draw from the
+state's cached tables and a lookup of that tuple; the `StepChoices` that
+`apply_step` takes are built only on a miss. `apply_step` runs once per
+distinct transition, and the feasibility assertion once per distinct state
+the graph holds: a successor equal to a stored state is dropped unchecked,
+since the certificate reads only what the key and the instance fix. The
+choices are still drawn on every step, so each trial consumes its chunk's
+RNG stream exactly as without reuse and the sums stay bit-identical. A walk
+of more than n steps raises `InvariantViolation`, since every step probes a
+new element. An optional sink sees each step as (state, choices, next
+state); `run_policy` uses one to record a `Trace`.
 
 An experiment walks one graph: it builds the initial state once, interns it
 (so the root is certified like every other state) and adds at most
 CHUNK * n states per chunk. At a chunk boundary a graph holding more
 than STORE_CAP states is dropped and the walk starts again from a fresh
 initial state. Under `jobs` > 1 each worker walks its own graph over a
-contiguous share of the chunks. The graph is freed when the experiment
-returns.
+contiguous share of the chunks; the worker pool, and `multiprocessing` with
+it, is imported at its first use. The graph is freed when the experiment
+returns, by reference counting alone: it holds no reference cycle (a state
+references the instance and its successors, and nothing it reaches refers
+back), so the chunks are walked with the cyclic collector paused, and a
+collection never rescans a graph of thousands of states.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 from typing import Callable, List, Optional, Tuple
@@ -113,6 +119,14 @@ CSV_FIELDS = [
 ]
 
 
+def ProcessPoolExecutor(*args, **kwargs):
+    """`concurrent.futures.ProcessPoolExecutor`, imported at the first call:
+    the pool loads `multiprocessing`, which only `--jobs` above 1 needs."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(*args, **kwargs)
+
+
 def theoretical_ratio(inst: ProbingInstance) -> float:
     """The paper's guarantee: 1/(k_in+k_out) for a linear objective, and
     (1-1/e)/(k_in+k_out+1) for a monotone submodular one."""
@@ -130,14 +144,16 @@ def walk(
 ) -> Tuple[PolicyState, int]:
     """Run one trial from `state` to termination over the transition graph
     that `store` interns; return the final state and the number of steps."""
-    limit = state.inst.n
+    inst = state.inst
+    limit = inst.n
     steps = 0
-    while (choices := draw_choices(state, rng)) is not None:
-        nxt = state.children.get(choices)
+    while (draw := draw_choices(state, rng)) is not None:
+        nxt = state.children.get(draw)
         if nxt is None:
-            nxt = state.children[choices] = intern(store, apply_step(state, choices))
+            choices = StepChoices.from_draw(inst, draw)  # built for a new step only
+            nxt = state.children[draw] = intern(store, apply_step(state, choices))
         if sink is not None:
-            sink(state, choices, nxt)
+            sink(state, StepChoices.from_draw(inst, draw), nxt)
         state = nxt
         steps += 1
         if steps > limit:
@@ -171,26 +187,37 @@ def run_policy(inst: ProbingInstance, x0, rng: random.Random) -> Trace:
 
 def _run_chunks(inst: ProbingInstance, x0, seed: int, chunks) -> List[tuple]:
     """(sum, sum of squares, steps) of f(S) for each (start, count) chunk, in
-    order, over one transition graph."""
-    results = []
-    root = None
-    store = {}
-    for start, count in chunks:
-        if root is None or len(store) > STORE_CAP:
-            store = {}
-            root = intern(store, init_state(inst, x0))
-        rng = spawn_rng(seed, "chunk", start // CHUNK)
-        total = 0.0
-        total_sq = 0.0
-        steps = 0
-        for _ in range(count):
-            state, n_steps = walk(root, rng, store)
-            v = state.objective_value
-            total += v
-            total_sq += v * v
-            steps += n_steps
-        results.append((total, total_sq, steps))
-    return results
+    order, over one transition graph.
+
+    The walk runs with the cyclic garbage collector paused, and the caller's
+    collector state is restored on the way out: the graph holds no reference
+    cycle (a state references the instance and its successors only), so
+    reference counting frees it, and a collection would only rescan it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        results = []
+        root = None
+        store = {}
+        for start, count in chunks:
+            if root is None or len(store) > STORE_CAP:
+                store = {}
+                root = intern(store, init_state(inst, x0))
+            rng = spawn_rng(seed, "chunk", start // CHUNK)
+            total = 0.0
+            total_sq = 0.0
+            steps = 0
+            for _ in range(count):
+                state, n_steps = walk(root, rng, store)
+                v = state.objective_value
+                total += v
+                total_sq += v * v
+                steps += n_steps
+            results.append((total, total_sq, steps))
+        return results
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def mc_policy_value(

@@ -394,25 +394,28 @@ def _build_exchange_mapping(m: Matroid, amask: int, bmask: int) -> dict:
         ]
 
     owner = {}  # matched target element -> source element
-
-    def augment(e, visited):
-        for f in candidates[e]:
-            if f in visited:
-                continue
-            visited.add(f)
-            if f not in owner or augment(owner[f], visited):
-                owner[f] = e
-                return True
-        return False
-
     for e in need_match:
-        if not augment(e, set()):
+        if not _augment(candidates, owner, e, set()):
             raise InvariantViolation(
                 "no valid exchange assignment found; matroid oracle is inconsistent"
             )
     for f, e in owner.items():
         mapping[e] = f
     return mapping
+
+
+def _augment(candidates: dict, owner: dict, e: int, visited: set) -> bool:
+    """Match e to a candidate not in `visited`, rematching its owner along an
+    augmenting path if needed; a module-level function rather than a closure,
+    so building an exchange map leaves no reference cycle behind."""
+    for f in candidates[e]:
+        if f in visited:
+            continue
+        visited.add(f)
+        if f not in owner or _augment(candidates, owner, owner[f], visited):
+            owner[f] = e
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

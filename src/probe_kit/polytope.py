@@ -26,12 +26,14 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .matroids import Matroid, _exchange_mapping_masks, _popcounts, bits
+from .matroids import GROUND_CAP, Matroid, _exchange_mapping_masks, _popcounts, bits
 
 EPS = 1e-9
 MAX_PEEL_FACTOR = 6  # peel iterations allowed per support element before LP fallback
 
 MaskTerms = List[Tuple[float, int]]
+
+_BIT_VALUES = [float(1 << i) for i in range(GROUND_CAP)]  # 2^i, the masks as a sum row
 
 
 def _support_mask(x: Sequence[float], eps: float = EPS) -> int:
@@ -62,25 +64,27 @@ def in_polytope(m: Matroid, x: Sequence[float], tol: float = EPS) -> bool:
     return _max_violation(m, x, support) <= tol
 
 
-def _subset_sums(x: Sequence[float], support: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Every submask A of `support` with x(A): one doubling per element of the
-    support in ascending order, so x(A) adds A's coordinates in ascending
-    order to 0.0, as a loop over bits(A) would."""
-    size = 1 << support.bit_count()
-    masks = np.zeros(size, dtype=np.int64)
-    sums = np.zeros(size)
+def _subset_sums(support: int, *vectors: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """Every submask A of `support`, with v(A) for each of `vectors` (row j
+    of the sums is vectors[j](A)): one doubling per element of the support in
+    ascending order, so v(A) adds A's coordinates in ascending order to 0.0,
+    as a loop over bits(A) would.  The masks ride along as one more row, the
+    sum of 2^i over A, which float64 holds exactly, so a doubling is one
+    numpy add for every row."""
+    top = support.bit_length()
+    rows = np.array([v[:top] for v in vectors] + [_BIT_VALUES[:top]], dtype=float)
+    sums = np.zeros((len(rows), 1 << support.bit_count()))
     half = 1
     for i in bits(support):
-        np.bitwise_or(masks[:half], 1 << i, out=masks[half : 2 * half])
-        np.add(sums[:half], x[i], out=sums[half : 2 * half])
+        np.add(sums[:, :half], rows[:, i, None], out=sums[:, half : 2 * half])
         half *= 2
-    return masks, sums
+    return sums[-1].astype(np.int64), sums[:-1]
 
 
 def _max_violation(m: Matroid, x: Sequence[float], support: int) -> float:
     """The largest x(A) - r(A) over the submasks A of the support; the empty
     set makes it at least 0."""
-    masks, sums = _subset_sums(x, support)
+    masks, (sums,) = _subset_sums(support, x)
     return float((sums - m.rank_array()[masks]).max())
 
 
@@ -162,13 +166,14 @@ def _step_cap(
     support with r(A) > |A & B|, x(A) - beta |A & B| <= (w_rem - beta) r(A),
     i.e. beta <= (w_rem r(A) - x(A)) / (r(A) - |A & B|), x the residual."""
     beta = min(w_rem, min(residual[i] for i in bits(bmask)))
-    masks, xa = _subset_sums(residual, support)
+    # |A & B| is B's indicator summed over A, exact in float64
+    indicator = [bmask >> i & 1 for i in range(len(residual))]
+    masks, (xa, inter) = _subset_sums(support, residual, indicator)
     ra = m.rank_array()[masks]
-    inter = sum(masks >> i & 1 for i in bits(bmask))
     capped = ra > inter
     ra = ra[capped]
     caps = (w_rem * ra - xa[capped]) / (ra - inter[capped])
-    return float(np.min(caps, initial=beta))
+    return float(np.minimum.reduce(caps, initial=beta))
 
 
 def decompose_masks(m: Matroid, x: Sequence[float]) -> MaskTerms:
@@ -226,7 +231,7 @@ def _decompose_lp(m: Matroid, x: Sequence[float]) -> MaskTerms:
     descending order: `_subset_sums` lists the submasks ascending, and the
     popcount of each is that of its index."""
     support = _support_mask(x)
-    masks = _subset_sums(x, support)[0][:0:-1]
+    masks = _subset_sums(support)[0][:0:-1]
     indep = m.rank_array()[masks] == _popcounts(support.bit_count())[:0:-1]
     return _fit([0] + masks[indep].tolist(), x)
 
@@ -290,16 +295,25 @@ def trim_masks(
     kept.
     """
     n = len(target)
-    terms = list(terms)
-    for i in range(n):
-        ibit = 1 << i
+    union = 0
+    for _, mask in terms:
+        union |= mask
+    zero = 0  # the coordinates a target of 0 drops from every term
+    excess = []  # the coordinates with an excess above EPS
+    rest = union
+    while rest:
+        ibit = rest & -rest
+        rest ^= ibit
+        i = ibit.bit_length() - 1
         if target[i] <= 0.0:
             if implied[i] > 0.0:
-                terms = [(w, mask & ~ibit) for w, mask in terms]
-            continue
+                zero |= ibit
+        elif implied[i] - target[i] > EPS:
+            excess.append(i)
+    terms = [(w, mask & ~zero) for w, mask in terms] if zero else list(terms)
+    for i in excess:
+        ibit = 1 << i
         d = implied[i] - target[i]
-        if d <= EPS:
-            continue
         for j, (w, mask) in enumerate(terms):
             if not mask & ibit:
                 continue

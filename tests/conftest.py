@@ -39,11 +39,13 @@ def random_instance(seed, n=None, k_in=None, k_out=None, objective="linear"):
     return gen_random(n, k_in, k_out, objective, rng)
 
 
-def certified_step(state, choices):
-    """The successor `apply_step` computes, certified as `intern` certifies
-    every state new to a store: the step of a caller that keeps no transition
-    graph. Both are looked up on `probe_kit.engine`, so a test can count them."""
+def certified_step(state, draw):
+    """The successor `apply_step` computes for the `draw_choices` tuple
+    `draw`, certified as `intern` certifies every state new to a store: the
+    step of a caller that keeps no transition graph. Both are looked up on
+    `probe_kit.engine`, so a test can count them."""
     engine = probe_kit.engine
+    choices = engine.StepChoices.from_draw(state.inst, draw)
     return engine.intern({}, engine.apply_step(state, choices))
 
 
@@ -66,10 +68,10 @@ def mid_run_states(count, seed_base):
         sol = solve_relaxation(inst, cg_steps=60)
         state = engine.init_state(inst, sol.x0)
         for _ in range(rng.randint(0, 2)):
-            choices = engine.draw_choices(state, rng)
-            if choices is None:
+            draw = engine.draw_choices(state, rng)
+            if draw is None:
                 break
-            state = certified_step(state, choices)
+            state = certified_step(state, draw)
         if state.sigma > 1e-6:
             states.append(state)
     return states
@@ -159,17 +161,16 @@ def sample_guide_loop(terms, e: int, rng: random.Random) -> Optional[int]:
 
 
 def draw_choices_loop(state, rng: random.Random):
-    """(element, active, outer guides, inner guides) in the policy's draw order."""
+    """(element, active, outer guides..., inner guides...) in the policy's
+    draw order; an inactive probe draws no inner guide."""
     e = select_element_loop(state, rng)
     if e is None:
         return None
     active = rng.random() < state.inst.p[e]
     outer = tuple(sample_guide_loop(t, e, rng) for t in state.outer_terms)
-    if active:
-        inner = tuple(sample_guide_loop(t, e, rng) for t in state.inner_terms)
-    else:
-        inner = tuple(None for _ in state.inner_terms)
-    return e, active, outer, inner
+    if not active:
+        return (e, active) + outer
+    return (e, active) + outer + tuple(sample_guide_loop(t, e, rng) for t in state.inner_terms)
 
 
 def simulate_value(inst: ProbingInstance, x0, rng: random.Random) -> float:
@@ -178,10 +179,10 @@ def simulate_value(inst: ProbingInstance, x0, rng: random.Random) -> float:
     engine = probe_kit.engine
     state = engine.init_state(inst, x0)
     for _ in range(inst.n + 1):
-        choices = engine.draw_choices(state, rng)
-        if choices is None:
+        draw = engine.draw_choices(state, rng)
+        if draw is None:
             return state.objective_value
-        state = certified_step(state, choices)
+        state = certified_step(state, draw)
     raise InvariantViolation("more steps than ground elements")
 
 

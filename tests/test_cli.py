@@ -639,10 +639,11 @@ class TestHelp:
 
 
 # Runs each argv through cli.main in one fresh interpreter and prints, after
-# each, its exit code and whether scipy.optimize has been imported.
+# each, its exit code and which of scipy.optimize and multiprocessing (the
+# worker pool's) have been imported.
 _STARTUP = textwrap.dedent("""
     import json, sys
-    loaded = lambda: "scipy.optimize" in sys.modules
+    loaded = lambda: [m for m in ("scipy.optimize", "multiprocessing") if m in sys.modules]
     seen = []
     import probe_kit
     seen.append(["import probe_kit", None, loaded()])
@@ -673,6 +674,7 @@ def test_scipy_optimize_loads_at_the_first_solve(tmp_path):
         ["run", "--instance", str(wide)],
         ["verify", "--instance", str(broken)],
         ["run", "--instance", str(inst), "--trials", "10", "--out", str(tmp_path / "r.json")],
+        ["run", "--instance", str(inst), "--trials", "600", "--jobs", "2"],
     ]
     src = str(Path(probe_kit.cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -682,13 +684,14 @@ def test_scipy_optimize_loads_at_the_first_solve(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [
-        ["import probe_kit", None, False],
-        ["import probe_kit.cli", None, False],
-        ["--help", 0, False],
-        ["generate", 0, False],
-        ["run", 1, False],  # a file that is not JSON
-        ["run", 3, False],  # |E| above the cap
-        ["verify", 2, False],  # fails its structural checks
-        ["run", 0, True],  # the first solve imports it
+        ["import probe_kit", None, []],
+        ["import probe_kit.cli", None, []],
+        ["--help", 0, []],
+        ["generate", 0, []],
+        ["run", 1, []],  # a file that is not JSON
+        ["run", 3, []],  # |E| above the cap
+        ["verify", 2, []],  # fails its structural checks
+        ["run", 0, ["scipy.optimize"]],  # the first solve imports it; --jobs 1, no pool
+        ["run", 0, ["scipy.optimize", "multiprocessing"]],  # two chunks, two workers
     ]
     assert json.loads((tmp_path / "r.json").read_text())["trials"] == 10

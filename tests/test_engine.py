@@ -9,6 +9,7 @@ import probe_kit.engine
 import probe_kit.polytope
 from probe_kit.engine import (
     COORD_EPS,
+    StepChoices,
     draw_choices,
     init_state,
     outcomes,
@@ -90,14 +91,13 @@ class TestSelection:
                 while True:
                     ref = random.Random()
                     ref.setstate(rng.getstate())
-                    choices = draw_choices(state, rng)
-                    expected = draw_choices_loop(state, ref)
-                    assert (None if choices is None else tuple(choices)) == expected
+                    draw = draw_choices(state, rng)
+                    assert draw == draw_choices_loop(state, ref)
                     assert rng.random() == ref.random()
                     states += 1
-                    if choices is None:
+                    if draw is None:
                         break
-                    state = certified_step(state, choices)
+                    state = certified_step(state, draw)
         assert states > 700
 
 
@@ -105,9 +105,9 @@ class TestStep:
     def test_certain_element_taken_in_one_step(self):
         inst = _single_element_instance(p=1.0)
         state = init_state(inst, [1.0])
-        choices = draw_choices(state, random.Random(0))
-        assert choices is not None and choices.active
-        state = certified_step(state, choices)
+        draw = draw_choices(state, random.Random(0))
+        assert draw == (0, True, 0)  # element 0, active, outer guide term 0
+        state = certified_step(state, draw)
         assert state.successes == frozenset({0})
         assert state.x == [0.0]
         assert draw_choices(state, random.Random(0)) is None
@@ -159,7 +159,7 @@ class TestOutcomes:
             keys = {choices for _, choices in outcomes(state)}
             rng = spawn_rng(si, "outcomes")
             for _ in range(2000):
-                assert draw_choices(state, rng) in keys
+                assert StepChoices.from_draw(state.inst, draw_choices(state, rng)) in keys
 
     def test_probabilities_follow_the_term_weights(self):
         # x_e/Sigma, times p_e or 1-p_e, times w_a / sum of w_b over the
@@ -325,8 +325,8 @@ class TestTrimmedDecompositions:
             for trial in range(15):
                 rng = spawn_rng(case, "trim", trial)
                 state = init_state(inst, x0)
-                while (choices := draw_choices(state, rng)) is not None:
-                    state = certified_step(state, choices)
+                while (draw := draw_choices(state, rng)) is not None:
+                    state = certified_step(state, draw)
                     _assert_exact_decompositions(state)
                     steps += 1
         assert steps > 300
@@ -346,7 +346,7 @@ class TestTrimmedDecompositions:
             assert len(calls) == len(inst.outer) + len(inst.inner)
             calls.clear()
             rng = spawn_rng(case, "no-peel")
-            while (choices := draw_choices(state, rng)) is not None:
-                state = certified_step(state, choices)
+            while (draw := draw_choices(state, rng)) is not None:
+                state = certified_step(state, draw)
             assert state.q_mask  # at least one step was taken
             assert calls == []

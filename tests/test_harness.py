@@ -1,14 +1,17 @@
 """Monte Carlo harness: one transition graph per experiment (per worker under
-`jobs`) keeps sums exact (pinned bit for bit on three instances), runs
-`apply_step` once per distinct transition and certifies each state it
-interns once, the root included, reads f(S) once per distinct terminal
-state, restarts above STORE_CAP and is freed on return; a corrupted
+`jobs`) keeps sums exact (pinned bit for bit on three instances, and so are
+traces), runs `apply_step` once per distinct transition and certifies each
+state it interns once, the root included, reads f(S) once per distinct
+terminal state, restarts above STORE_CAP and is freed on return by
+reference counting alone, so the collector it pauses (and restores) has
+nothing to find; a corrupted
 successor or root raises; the one policy walk gives traced and Monte Carlo
 runs the same values and stops a chain that does not end; each chunk seeds
 one RNG stream, so its sums do not depend on the worker or graph that walks
 it; `jobs` is checked and never starts more workers than there are chunks."""
 
 import gc
+import hashlib
 import math
 import weakref
 
@@ -94,20 +97,24 @@ def test_apply_step_runs_once_per_distinct_transition(monkeypatch, roots):
     apply_step = probe_kit.harness.apply_step
 
     def recording_draw(state, rng):
-        choices = draw_choices(state, rng)
-        if choices is not None:
-            steps.append(state.key + (choices,))
-        return choices
+        draw = draw_choices(state, rng)
+        if draw is not None:
+            steps.append(state.key + (draw,))
+        return draw
 
     def counting_apply(state, choices):
-        computed.append(state.key + (choices,))
+        draw = (choices.element, choices.active) + choices.outer_guides
+        if choices.active:
+            draw += choices.inner_guides
+        computed.append(state.key + (draw,))
         return apply_step(state, choices)
 
     monkeypatch.setattr(probe_kit.harness, "draw_choices", recording_draw)
     monkeypatch.setattr(probe_kit.harness, "apply_step", counting_apply)
     mc_policy_value(inst, x0, TRIALS, seed=1)  # three chunks, one graph
     assert len(roots) == 1
-    assert len(computed) == len(set(steps)) == len(set(computed))
+    assert len(computed) == len(set(computed))  # no (state, draw) stepped twice
+    assert set(computed) == set(steps)  # and every one drawn was stepped
     assert len(computed) < len(steps)
 
 
@@ -271,6 +278,30 @@ def test_monte_carlo_sums_are_pinned(kind):
     assert tuple(v.hex() for v in sums) == PINNED_SUMS[kind]
 
 
+# sha256 of 20 `run_policy` traces' `Trace.dumps()`, joined by newlines, as
+# the harness gave them while `walk` keyed a state's successors by StepChoices
+PINNED_TRACES = {
+    "linear": "ea4f32e5af21ed2b67eb802ee74df41576dfb24eab22c2a2cd431e5717e464cb",
+    "coverage": "b243761d2556a61b2117a802b5cbe65ff29fde299d8ec7e2bfd22c41888cfba8",
+    "bipartite": "16e60f7e0de6899df6e0a2416af5144fb938a730268d4357a73e416910bbaf9c",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_TRACES))
+def test_traces_are_pinned(kind):
+    if kind == "bipartite":
+        inst = gen_bipartite_matching(3, 3, [2] * 3, [1] * 3, 0.9, spawn_rng(19, "pin"))
+    else:
+        seed = {"linear": 5, "coverage": 8}[kind]
+        inst = random_instance(seed, n=7, k_in=1, k_out=2, objective=kind)
+    # on the grid of test_monte_carlo_sums_are_pinned, for the same reason
+    x0 = [round(v * 1024) / 1024 * 63 / 64 for v in solve_relaxation(inst, cg_steps=20).x0]
+    assert relaxation_feasible(inst, x0, 0.0)
+    rng = spawn_rng(7, "trace")
+    dumps = "\n".join(run_policy(inst, x0, rng).dumps() for _ in range(20))
+    assert hashlib.sha256(dumps.encode()).hexdigest() == PINNED_TRACES[kind]
+
+
 @pytest.mark.parametrize("seed, objective", [(5, "linear"), (8, "coverage")])
 def test_traces_match_the_monte_carlo_walk(seed, objective):
     """Same final value and step count per trial, on a fresh graph and on one
@@ -320,6 +351,40 @@ def test_graph_is_freed_on_return(monkeypatch):
     assert all(ref() is None for ref in stored)  # freed by reference counting
     gc.collect()
     assert all(ref() is None for ref in stored)
+
+
+def _fresh_matching():
+    """A 4x4 matching with patience 2 and 16 edges, its exchange memos empty."""
+    inst = gen_bipartite_matching(4, 4, [2] * 4, [2] * 4, 1.0, spawn_rng(3, "gc"))
+    assert inst.n == 16
+    return inst, solve_relaxation(inst, cg_steps=20).x0
+
+
+def test_monte_carlo_leaves_no_reference_cycle():
+    """What lets `_run_chunks` pause the cyclic collector: with it off, a
+    Monte Carlo run on a fresh instance, which builds its exchange maps,
+    leaves nothing that only a collection frees, and no policy state."""
+    inst, x0 = _fresh_matching()
+    gc.collect()
+    gc.disable()
+    try:
+        mc_policy_value(inst, x0, 256, seed=1)
+        assert gc.collect() == 0
+        assert not any(isinstance(o, probe_kit.engine.PolicyState) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert inst.outer[0]._exchange_memo  # exchange maps were built
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_monte_carlo_restores_the_collector_state(enabled):
+    inst, x0 = _fresh_matching()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        mc_policy_value(inst, x0, 64, seed=1)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
 
 
 def test_jobs_do_not_change_the_report(tmp_path, capsys):

@@ -259,14 +259,15 @@ class TestSubsetScans:
     def test_subset_sums_enumerate_every_submask(self):
         x = [0.1, 0.2, 0.3, 0.7, 1e-17]
         for support in (0, 0b1, 0b10110, 0b11111):
-            masks, sums = _subset_sums(x, support)
+            masks, (sums, counts) = _subset_sums(support, x, [1, 0, 1, 1, 0])
             assert sorted(masks.tolist()) == [a for a in range(32) if a & ~support == 0]
-            for a, total in zip(masks.tolist(), sums.tolist()):
+            for a, total, count in zip(masks.tolist(), sums.tolist(), counts.tolist()):
                 expected = 0.0
                 for i in range(5):
                     if a >> i & 1:
                         expected += x[i]
                 assert total == expected
+                assert count == (a & 0b01101).bit_count()
 
     def test_membership_matches_loop(self):
         rng = random.Random(2301)
