@@ -8,8 +8,8 @@
 # instances and reports. The oracle reports a value at its cap (the |E| = 12
 # instance, whose extension tables are built with numpy), pinned bit for bit
 # to the value of the memoized recursion the layered sweep replaced, and null
-# above it (|E| = 14); the seed-24 verify exercises scipy's nnls in the exact
-# decomposition fallback; the posted-pricing instance builds a 16-element
+# above it (|E| = 14); the seed-24 verify exercises the numpy Lawson-Hanson
+# fit of the exact decomposition fallback; the posted-pricing instance builds a 16-element
 # explicit rank table, at the cap, with numpy; the 12-element
 # weighted-matroid-rank instance builds its value table with numpy; the
 # hand-written 3-element instance contracts element 0 of its outer matroid,
@@ -29,10 +29,10 @@
 # and writes no file; and a run whose --out directory is missing, or whose
 # --out is a directory, exits 1 without a traceback, before the experiment:
 # with 10^8 trials it must not reach its 20 s timeout. Last, start-up:
-# under PYTHONPROFILEIMPORTTIME, --help and generate never import
-# scipy.optimize or multiprocessing, and a run must name scipy.optimize (its
-# first solve imports it) and, under --jobs 2, multiprocessing (the worker
-# pool imports it) in the same log, which shows that the check can see them.
+# under PYTHONPROFILEIMPORTTIME, no command imports scipy.optimize (the
+# relaxations solve with numpy alone), --help and generate never import
+# multiprocessing, and a run under --jobs 2 must name multiprocessing (the
+# worker pool imports it) in its log, which shows that the check can see it.
 set -euo pipefail
 
 d="${1:-$(mktemp -d)}"
@@ -161,22 +161,24 @@ fi
 PYTHONPROFILEIMPORTTIME=1 probe-kit --help > /dev/null 2> "$d/help.imports"
 PYTHONPROFILEIMPORTTIME=1 probe-kit generate --size 4 --seed 5 \
     --out "$d/startup.json" > /dev/null 2> "$d/generate.imports"
+PYTHONPROFILEIMPORTTIME=1 probe-kit verify --instance "$d/startup.json" \
+    > /dev/null 2> "$d/verify.imports"
 PYTHONPROFILEIMPORTTIME=1 probe-kit run --instance "$d/startup.json" \
     --trials 600 --jobs 2 --out "$d/startup-report.json" 2> "$d/run.imports"
-for command in help generate; do
+for command in help generate verify run; do
     if grep -qF scipy.optimize "$d/$command.imports"; then
-        echo "$command imported scipy.optimize, which only a solve needs" >&2
+        echo "$command imported scipy.optimize, which no command needs" >&2
         exit 1
     fi
+done
+for command in help generate; do
     if grep -qF multiprocessing "$d/$command.imports"; then
         echo "$command imported multiprocessing, which only --jobs above 1 needs" >&2
         exit 1
     fi
 done
-for module in scipy.optimize multiprocessing; do
-    if ! grep -qF "$module" "$d/run.imports"; then
-        echo "run --jobs 2: the import-time log does not name $module" >&2
-        exit 1
-    fi
-done
+if ! grep -qF multiprocessing "$d/run.imports"; then
+    echo "run --jobs 2: the import-time log does not name multiprocessing" >&2
+    exit 1
+fi
 echo "console script end to end: ok"

@@ -13,8 +13,9 @@ contracted matroid is no different here: its contracted elements
 are loops of its table, so their rank rows force x to vanish on them.  The
 support update reads a policy state's contraction as a mask (`contracted`)
 against the instance's matroid, so no contracted copy is built per step.
-One exact fit, nonnegative least squares over given sets (`_fit`), is both
-the peel's fallback and the cut of a decomposition to at most n+1 sets.
+One exact fit, nonnegative least squares over given sets (`_fit`, by the
+Lawson-Hanson active-set method in numpy, `nnls`), is both the peel's
+fallback and the cut of a decomposition to at most n+1 sets.
 """
 
 from __future__ import annotations
@@ -131,12 +132,49 @@ def _merge_terms(terms: MaskTerms, n: int) -> MaskTerms:
     return out or [(1.0, 0)]
 
 
-def nnls(*args, **kwargs):
-    """`scipy.optimize.nnls`, imported at the first call: importing
-    scipy.optimize is most of the start-up cost of `import probe_kit`."""
-    import scipy.optimize
+def nnls(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float]:
+    """min |a w - b| over w >= 0, and that residual norm, by Lawson-Hanson.
 
-    return scipy.optimize.nnls(*args, **kwargs)
+    The passive set grows by the column of largest gradient a^T (b - a w),
+    unless its least-squares coefficient on the passive columns comes out
+    nonpositive, which only rounding can do; then the next column is tried.
+    While that solution s has a negative coordinate, w moves towards s as
+    far as w >= 0 allows, and the columns that reach 0 leave.  At most 3k
+    columns enter, for k columns.
+    """
+    m, k = a.shape
+    w = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    # a gradient below tol is rounding in the m-term sums of a^T (b - a w)
+    tol = 10.0 * np.finfo(float).eps * m * max(1.0, float(np.abs(a).max(initial=0.0)))
+    tol *= max(1.0, float(np.abs(b).max(initial=0.0)))
+
+    def solve():
+        s = np.zeros(k)
+        s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        return s
+
+    for _ in range(3 * k):
+        grad = a.T @ (b - a @ w)
+        grad[passive] = -np.inf
+        while True:
+            j = int(np.argmax(grad))
+            if grad[j] <= tol:
+                return w, float(np.linalg.norm(a @ w - b))
+            passive[j] = True
+            s = solve()
+            if s[j] > 0.0:
+                break
+            passive[j] = False
+            grad[j] = -np.inf
+        while (s < 0.0).any():
+            low = s < 0.0
+            w += float(np.min(w[low] / (w[low] - s[low]))) * (s - w)
+            passive &= w > tol
+            w[~passive] = 0.0
+            s = solve()
+        w = s
+    return w, float(np.linalg.norm(a @ w - b))
 
 
 def _fit(masks: Sequence[int], x: Sequence[float]) -> MaskTerms:

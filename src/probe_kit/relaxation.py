@@ -1,39 +1,36 @@
 """Relaxations of the probing problem over intersected matroid polytopes:
 an LP over each matroid's dependent-flat rank rows for linear objectives,
 and discretized continuous greedy over the same rows for submodular ones.
+
+Both solve LPs with one small primal simplex (`solve_lp`, Bland's rule, in
+numpy).  Continuous greedy keeps the last vertex's active constraints: the
+vertex stays while its multipliers for the new gradient are nonnegative, and
+otherwise the simplex pivots on from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .instances import ProbingInstance
 from .matroids import bits
 from .objectives import multilinear_value_from_table, product_weights
-from .polytope import in_polytope, nnls
+from .polytope import in_polytope
 
 FEAS_TOL = 1e-7
 SHRINK = 1.0 - 1e-9  # pull solver output strictly inside the polytope
-TIGHT_TOL = 1e-9  # slack under which a constraint counts as tight at a vertex
-
-
-# Importing scipy.optimize is most of the start-up cost of `import probe_kit`,
-# and only a solve needs it, so `linprog` here and `nnls` in polytope.py import
-# it at the first call.  The solve path looks both names up here, where tests
-# can replace them.
-def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`."""
-    import scipy.optimize
-
-    return scipy.optimize.linprog(*args, **kwargs)
+DUAL_TOL = 1e-12  # multipliers above -DUAL_TOL * max(1, |c|) count as nonnegative
+PIVOT_TOL = 1e-9  # a constraint blocks a pivot only above this rate
+SLACK_TOL = 1e-12  # slack under which a constraint counts as tight in the ratio test
+PIVOT_CAP = 1000  # pivots before a solve fails; random LPs up to n = 12 took at most 83
 
 
 @dataclass
 class LinearProgram:
-    """max c.x subject to A_ub x <= b_ub, x in [0,1]^n (dense rows)."""
+    """max c.x subject to A_ub x <= b_ub, x in [0,1]^n (dense rows, b_ub >= 0)."""
 
     c: np.ndarray
     a_ub: np.ndarray
@@ -42,6 +39,15 @@ class LinearProgram:
     @property
     def n(self) -> int:
         return len(self.c)
+
+
+class LpSolution(NamedTuple):
+    """An optimal vertex, its value, and the n constraints active at it, as
+    indices into `_constraints`' stacked system."""
+
+    x: np.ndarray
+    value: float
+    active: np.ndarray
 
 
 @dataclass
@@ -53,18 +59,76 @@ class RelaxedSolution:
     trajectory_values: List[float] = field(default_factory=list)
 
 
-def solve_lp(lp: LinearProgram) -> Tuple[np.ndarray, float]:
-    """Maximize the LP; raises on infeasibility (cannot occur for x=0-feasible programs)."""
-    res = linprog(
-        c=-lp.c,
-        A_ub=lp.a_ub if lp.a_ub.size else None,
-        b_ub=lp.b_ub if lp.b_ub.size else None,
-        bounds=[(0.0, 1.0)] * lp.n,
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"LP solve failed: {res.message}")
-    return np.clip(res.x, 0.0, 1.0), float(-res.fun)
+def _constraints(a_ub: np.ndarray, b_ub: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every constraint of the LP as one system g x <= h: the rows of A_ub,
+    then x_i <= 1, then -x_i <= 0, the order Bland's rule ranks them in."""
+    n = a_ub.shape[1]
+    eye = np.eye(n)
+    return np.vstack((a_ub, eye, -eye)), np.concatenate((b_ub, np.ones(n), np.zeros(n)))
+
+
+def _dual_tol(c: np.ndarray) -> float:
+    return DUAL_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
+
+
+def _vertex(a_ub: np.ndarray, b_ub: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """The vertex where the `active` constraints hold with equality: the
+    coordinates at a box facet exactly, the rest from the active rows."""
+    m, n = a_ub.shape
+    x = np.zeros(n)
+    rows = active[active < m]
+    ones = active[(active >= m) & (active < m + n)] - m
+    x[ones] = 1.0
+    free = np.ones(n, dtype=bool)
+    free[(active[active >= m] - m) % n] = False  # m + i and m + n + i both fix x_i
+    if rows.size:
+        a = a_ub[rows]
+        x[free] = np.linalg.solve(a[:, free], b_ub[rows] - a[:, ones].sum(axis=1))
+    return np.clip(x, 0.0, 1.0)
+
+
+def solve_lp(lp: LinearProgram, active: Optional[np.ndarray] = None) -> LpSolution:
+    """Maximize the LP by the primal simplex over its vertices.
+
+    Every LP here has b_ub >= 0, so x = 0, where the n lower bounds are
+    active, is a vertex to start from; `active` names another vertex's
+    active constraints to start from instead.  A pivot drops the active
+    constraint of lowest index whose multiplier is negative, moves along
+    the edge that keeps the others tight, and activates the blocking
+    constraint of lowest index: Bland's rule, so a degenerate vertex cannot
+    make it cycle.  The vertex returned is the solution of its active
+    system, clipped to the box.  Raises RuntimeError after PIVOT_CAP pivots.
+    """
+    n = lp.n
+    a_ub = np.asarray(lp.a_ub, dtype=float).reshape(-1, n)
+    b_ub = np.asarray(lp.b_ub, dtype=float)
+    if np.any(b_ub < 0.0):
+        raise ValueError("solve_lp needs b_ub >= 0, so that x = 0 is feasible")
+    c = np.asarray(lp.c, dtype=float)
+    g, h = _constraints(a_ub, b_ub)
+    active = np.arange(len(h) - n, len(h)) if active is None else np.array(active)
+    tol = _dual_tol(c)
+    for pivots in range(PIVOT_CAP + 1):
+        inv = np.linalg.inv(g[active])
+        duals = c @ inv  # g[active].T @ duals = c
+        improving = np.flatnonzero(duals < -tol)
+        if not improving.size:
+            x = _vertex(a_ub, b_ub, active)
+            return LpSolution(x, float(c @ x), active)
+        if pivots == PIVOT_CAP:
+            break
+        leave = improving[np.argmin(active[improving])]
+        d = -inv[:, leave]  # off constraint active[leave], along the others
+        x = inv @ h[active]
+        rate = g @ d
+        rate[active] = 0.0
+        blocking = np.flatnonzero(rate > PIVOT_TOL)
+        if not blocking.size:
+            break
+        slack = h[blocking] - g[blocking] @ x
+        slack[slack < SLACK_TOL] = 0.0
+        active[leave] = blocking[np.argmin(slack / rate[blocking])]  # the first of ties
+    raise RuntimeError(f"LP solve failed: no optimal vertex after {pivots} pivots")
 
 
 def _polytope_rows(inst: ProbingInstance) -> Tuple[np.ndarray, np.ndarray]:
@@ -122,8 +186,7 @@ def relaxation_feasible(inst: ProbingInstance, x: Sequence[float], tol: float = 
 
 def solve_relaxation_lp(inst: ProbingInstance) -> RelaxedSolution:
     lp = build_probing_lp(inst)
-    x, _ = solve_lp(lp)
-    x0 = _repair_point(inst, x)
+    x0 = _repair_point(inst, solve_lp(lp).x)
     return RelaxedSolution(
         x0=x0, objective_value=float(lp.c @ x0), mode="lp", steps=1
     )
@@ -142,35 +205,18 @@ def _gradient_matrix(table: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p[:, None] * (table[masks | bit] - table[masks & ~bit])
 
 
-def _tight_normals(v: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
-    """The normals, as columns, of the constraints tight at v: rank rows, and
-    the box facets v_i = 1 and v_i = 0."""
-    eye = np.eye(len(v))
-    return np.vstack(
-        (
-            a_ub[a_ub @ v >= b_ub - TIGHT_TOL],
-            eye[v >= 1.0 - TIGHT_TOL],
-            -eye[v <= TIGHT_TOL],
-        )
-    ).T
-
-
-def _vertex_still_optimal(normals: np.ndarray, omega: np.ndarray) -> bool:
-    """KKT certificate: omega is a nonnegative combination of the tight normals."""
-    if not normals.shape[1]:  # scipy's nnls aborts the process on a matrix without columns
-        return False
-    _, residual = nnls(normals, omega)
-    return residual <= 1e-9 * max(1.0, float(np.linalg.norm(omega)))
-
-
-def _greedy_vertex(omega: np.ndarray, vertex, a_ub: np.ndarray, b_ub: np.ndarray):
-    """A vertex maximizing omega.x over the polytope, as (v, tight normals):
-    the previous pair while v stays optimal, otherwise a fresh LP solve, whose
-    normals are built once here."""
-    if vertex is not None and _vertex_still_optimal(vertex[1], omega):
+def _greedy_vertex(
+    omega: np.ndarray, vertex: Optional[LpSolution], a_ub: np.ndarray, b_ub: np.ndarray
+) -> LpSolution:
+    """A vertex maximizing omega.x over the polytope: the previous vertex
+    while its multipliers for omega, one n x n solve, stay nonnegative;
+    otherwise a solve that pivots on from its active constraints."""
+    if vertex is None:
+        return solve_lp(LinearProgram(c=omega, a_ub=a_ub, b_ub=b_ub))
+    g, _ = _constraints(a_ub, b_ub)
+    if np.all(np.linalg.solve(g[vertex.active].T, omega) >= -_dual_tol(omega)):
         return vertex
-    x, _ = solve_lp(LinearProgram(c=omega, a_ub=a_ub, b_ub=b_ub))
-    return x, _tight_normals(x, a_ub, b_ub)
+    return solve_lp(LinearProgram(c=omega, a_ub=a_ub, b_ub=b_ub), vertex.active)
 
 
 def continuous_greedy(inst: ProbingInstance, steps: int = 200) -> RelaxedSolution:
@@ -184,8 +230,8 @@ def continuous_greedy(inst: ProbingInstance, steps: int = 200) -> RelaxedSolutio
     each step's value F(p * y) is w @ f, the formula of
     `multilinear_value_from_table`, read off the same weights.  The LP is
     solved again only when the previous vertex stops being optimal for the
-    new gradient, which happens only a few times over a run; the
-    certificate's tight normals are built once per solved vertex.
+    new gradient, which happens only a few times over a run, and that
+    solve pivots on from the previous vertex.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -200,7 +246,7 @@ def continuous_greedy(inst: ProbingInstance, steps: int = 200) -> RelaxedSolutio
     values = []
     for _ in range(steps):
         vertex = _greedy_vertex(grad @ weights, vertex, a_ub, b_ub)
-        y = y + vertex[0] / steps
+        y = y + vertex.x / steps
         weights = product_weights(p * y)
         values.append(float(weights @ flat))
     x0 = _repair_point(inst, np.clip(y, 0.0, 1.0))

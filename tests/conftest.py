@@ -19,7 +19,6 @@ from probe_kit.relaxation import (
     LinearProgram,
     _polytope_rows,
     build_probing_lp,
-    solve_lp,
     solve_relaxation,
 )
 from probe_kit.seeding import spawn_rng
@@ -601,10 +600,23 @@ def enumerate_basic_solutions(lp: LinearProgram, tol: float = 1e-9):
         yield np.clip(x, 0.0, 1.0)
 
 
+def highs_lp(lp: LinearProgram) -> Tuple[np.ndarray, float]:
+    """HiGHS's optimal vertex and value of the LP, the reference for solve_lp."""
+    res = linprog(
+        c=-lp.c,
+        A_ub=lp.a_ub if lp.a_ub.size else None,
+        b_ub=lp.b_ub if lp.b_ub.size else None,
+        bounds=[(0.0, 1.0)] * lp.n,
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"HiGHS LP failed: {res.message}")
+    return res.x, float(-res.fun)
+
+
 def lp_optimum(inst: ProbingInstance) -> float:
-    """Exact optimum of the linear relaxation (unrepaired; oracle comparisons)."""
-    _, value = solve_lp(build_probing_lp(inst))
-    return value
+    """HiGHS's optimum of the linear relaxation (unrepaired; oracle comparisons)."""
+    return highs_lp(build_probing_lp(inst))[1]
 
 
 def max_f_plus_over_polytope(inst: ProbingInstance) -> float:

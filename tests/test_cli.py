@@ -11,8 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from scipy.optimize import OptimizeResult
-
 import probe_kit.cli
 import probe_kit.relaxation
 from probe_kit.cli import main
@@ -309,11 +307,7 @@ class TestRun:
         assert not (tmp_path / "missing").exists() and not (tmp_path / "r.json").exists()
 
     def test_failed_lp_solve_is_internal_error(self, instance_file, capsys, monkeypatch):
-        monkeypatch.setattr(
-            probe_kit.relaxation,
-            "linprog",
-            lambda *a, **k: OptimizeResult(success=False, message="forced failure"),
-        )
+        monkeypatch.setattr(probe_kit.relaxation, "PIVOT_CAP", 0)  # the optimum is not x = 0
         code, _, stderr = _run(capsys, "run", "--instance", str(instance_file))
         assert code == 4
         assert "LP solve failed" in stderr
@@ -639,11 +633,13 @@ class TestHelp:
 
 
 # Runs each argv through cli.main in one fresh interpreter and prints, after
-# each, its exit code and which of scipy.optimize and multiprocessing (the
-# worker pool's) have been imported.
+# each, its exit code and which scipy modules and multiprocessing (the worker
+# pool's) have been imported.
 _STARTUP = textwrap.dedent("""
     import json, sys
-    loaded = lambda: [m for m in ("scipy.optimize", "multiprocessing") if m in sys.modules]
+    loaded = lambda: sorted(
+        {m.split(".")[0] for m in sys.modules if m == "multiprocessing" or m.startswith("scipy")}
+    )
     seen = []
     import probe_kit
     seen.append(["import probe_kit", None, loaded()])
@@ -655,9 +651,19 @@ _STARTUP = textwrap.dedent("""
 """)
 
 
-def test_scipy_optimize_loads_at_the_first_solve(tmp_path):
-    inst, bad, wide, broken = (tmp_path / f"{n}.json" for n in ("inst", "bad", "wide", "broken"))
+def _subprocess_env(*extra):
+    src = str(Path(probe_kit.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [*map(str, extra), src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_no_command_loads_scipy(tmp_path):
+    inst, cover, bad, wide, broken = (
+        tmp_path / f"{n}.json" for n in ("inst", "cover", "bad", "wide", "broken")
+    )
     assert main(["generate", "--size", "4", "--seed", "2", "--out", str(inst)]) == 0
+    assert main(["generate", "--size", "5", "--seed", "2", "--objective", "coverage",
+                 "--out", str(cover)]) == 0
     bad.write_text("{")
     wide.write_text(json.dumps({
         "ground": {"size": 17}, "p": [0.5] * 17,
@@ -673,14 +679,15 @@ def test_scipy_optimize_loads_at_the_first_solve(tmp_path):
         ["run", "--instance", str(bad)],
         ["run", "--instance", str(wide)],
         ["verify", "--instance", str(broken)],
+        ["verify", "--instance", str(inst)],
+        ["verify", "--instance", str(cover)],
         ["run", "--instance", str(inst), "--trials", "10", "--out", str(tmp_path / "r.json")],
+        ["run", "--instance", str(cover), "--trials", "10", "--out", str(tmp_path / "c.json")],
         ["run", "--instance", str(inst), "--trials", "600", "--jobs", "2"],
     ]
-    src = str(Path(probe_kit.cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP, json.dumps(argvs)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [
@@ -691,7 +698,50 @@ def test_scipy_optimize_loads_at_the_first_solve(tmp_path):
         ["run", 1, []],  # a file that is not JSON
         ["run", 3, []],  # |E| above the cap
         ["verify", 2, []],  # fails its structural checks
-        ["run", 0, ["scipy.optimize"]],  # the first solve imports it; --jobs 1, no pool
-        ["run", 0, ["scipy.optimize", "multiprocessing"]],  # two chunks, two workers
+        ["verify", 0, []],  # solves the LP relaxation and decomposes x0
+        ["verify", 0, []],  # runs continuous greedy
+        ["run", 0, []],  # --jobs 1, no pool
+        ["run", 0, []],
+        ["run", 0, ["multiprocessing"]],  # two chunks, two workers
     ]
     assert json.loads((tmp_path / "r.json").read_text())["trials"] == 10
+
+
+# A sys.meta_path finder that makes every scipy module unimportable; written
+# as sitecustomize.py into a directory at the head of PYTHONPATH, it is
+# installed when the interpreter starts.
+_NO_SCIPY = textwrap.dedent("""
+    import sys
+
+    class _NoScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"{name} is blocked")
+            return None
+
+    sys.meta_path.insert(0, _NoScipy())
+""")
+
+
+@pytest.mark.parametrize("objective", ["linear", "coverage"])
+def test_run_without_scipy(tmp_path, capsys, objective):
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "--size", "6", "--k-in", "1", "--seed", "4", "--objective",
+                 objective, "--out", str(inst)]) == 0
+    argv = ["run", "--instance", str(inst), "--trials", "300", "--cg-steps", "30"]
+    assert main(argv + ["--out", str(tmp_path / "in-process.json")]) == 0
+    blocker = tmp_path / "blocker"
+    blocker.mkdir()
+    (blocker / "sitecustomize.py").write_text(_NO_SCIPY)
+    env = _subprocess_env(blocker)
+    check = subprocess.run(
+        [sys.executable, "-c", "import scipy"], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert check.returncode == 1 and "scipy is blocked" in check.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "probe_kit.cli", *argv, "--out", str(tmp_path / "blocked.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "blocked.json").read_bytes() == (tmp_path / "in-process.json").read_bytes()

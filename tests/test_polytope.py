@@ -2,7 +2,9 @@
 
 import random
 
+import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,7 @@ from probe_kit.polytope import (
     decompose_masks,
     implied_vector_masks,
     in_polytope,
+    nnls,
     support_update_masks,
     trim_masks,
     within,
@@ -334,6 +337,61 @@ class TestSubsetScans:
                 terms = _decompose_lp(m, x)
             assert seen == [columns]
             assert terms == _fit(columns, x)
+
+
+def _fit_system(masks, x):
+    """`_fit`'s least-squares system: the sets' (indicator, 1) columns and (x, 1)."""
+    cols = np.asarray(masks, dtype=np.int64)
+    a = np.vstack(((cols >> np.arange(len(x))[:, None]) & 1, np.ones(len(cols))))
+    return a.astype(float), np.append(x, 1.0)
+
+
+class TestLawsonHanson:
+    """The numpy Lawson-Hanson against scipy's `nnls`: the same residual
+    within 1e-12, and `_fit` still certifies its round trip."""
+
+    @staticmethod
+    def _assert_matches_scipy(a, b):
+        w, residual = nnls(a, b)
+        ref_w, ref_residual = scipy.optimize.nnls(a, b)
+        assert np.all(w >= 0.0)
+        assert residual == pytest.approx(float(np.linalg.norm(a @ w - b)), abs=1e-15)
+        assert abs(residual - ref_residual) <= 1e-12
+        return w
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(2701)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            k = int(rng.integers(1, 40))
+            if rng.random() < 0.5:  # set columns, as `_fit` builds them
+                a, b = _fit_system(rng.integers(0, 1 << n, k).tolist(), rng.random(n))
+            else:
+                a, b = rng.normal(size=(n + 1, k)), rng.normal(size=n + 1)
+            self._assert_matches_scipy(a, b)
+
+    def test_no_columns(self):
+        w, residual = nnls(np.zeros((3, 0)), np.array([3.0, 0.0, 4.0]))
+        assert w.shape == (0,) and residual == 5.0
+
+    def test_fallback_columns(self):
+        rng = random.Random(2702)
+        for _ in range(60):
+            m = TestSubsetScans._matroid(rng, rng.randint(1, 9))
+            x = _random_point(m, rng) if rng.random() < 0.5 else TestSubsetScans._dense_point(m, rng)
+            columns = decompose_lp_columns_loop(m, x)
+            w = self._assert_matches_scipy(*_fit_system(columns, x))
+            assert len(np.flatnonzero(w)) <= m.ground_size + 1
+            terms = _fit(columns, x)
+            assert within(implied_vector_masks(terms, m.ground_size), x, EPS)
+            assert abs(sum(w for w, _ in terms) - 1.0) <= 1e-12
+            assert all(m.indep_mask(mask) for _, mask in terms)
+
+    def test_wide_uniform_half(self):
+        m = uniform_matroid(16, 8)
+        x = [0.5] * 16
+        self._assert_matches_scipy(*_fit_system(decompose_lp_columns_loop(m, x), x))
+        assert within(implied_vector_masks(_decompose_lp(m, x), 16), x, EPS)
 
 
 class TestSupportUpdate:

@@ -8,7 +8,14 @@ import pytest
 import probe_kit.relaxation
 from probe_kit.errors import CapabilityError
 from probe_kit.instances import ProbingInstance, gen_bipartite_matching, gen_random
-from probe_kit.matroids import bits, free_matroid, uniform_matroid
+from probe_kit.matroids import (
+    bits,
+    explicit_matroid,
+    free_matroid,
+    graphic_matroid,
+    partition_matroid,
+    uniform_matroid,
+)
 from probe_kit.objectives import (
     coverage_objective,
     linear_objective,
@@ -18,6 +25,7 @@ from probe_kit.objectives import (
 from probe_kit.oracle import optimal_adaptive_value
 from probe_kit.relaxation import (
     LinearProgram,
+    _constraints,
     _gradient_matrix,
     _polytope_rows,
     _repair_point,
@@ -30,6 +38,7 @@ from probe_kit.relaxation import (
 from probe_kit.seeding import spawn_rng
 from conftest import (
     enumerate_basic_solutions,
+    highs_lp,
     lp_optimum,
     max_f_plus_over_polytope,
     multilinear,
@@ -43,7 +52,7 @@ class TestSolveLp:
         lp = LinearProgram(
             c=np.array([1.0, 1.0]), a_ub=np.zeros((0, 2)), b_ub=np.zeros(0)
         )
-        x, val = solve_lp(lp)
+        x, val, _ = solve_lp(lp)
         assert val == pytest.approx(2.0)
         assert np.allclose(x, [1.0, 1.0])
 
@@ -51,7 +60,7 @@ class TestSolveLp:
         lp = LinearProgram(
             c=np.array([1.0, 1.0]), a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([1.0])
         )
-        _, val = solve_lp(lp)
+        _, val, _ = solve_lp(lp)
         assert val == pytest.approx(1.0)
 
     def test_agreement_with_vertex_enumeration(self):
@@ -64,9 +73,152 @@ class TestSolveLp:
                 a_ub=np.array([[rng.uniform(0, 1) for _ in range(n)] for _ in range(rows)]),
                 b_ub=np.array([rng.uniform(0.5, 2.0) for _ in range(rows)]),
             )
-            _, val = solve_lp(lp)
+            _, val, _ = solve_lp(lp)
             best = max(float(lp.c @ v) for v in enumerate_basic_solutions(lp))
             assert val == pytest.approx(best, abs=1e-7)
+
+
+def _kind_matroid(kind, n, rng):
+    """A random matroid of the given kind on n elements, none of them a loop
+    but the contracted ones."""
+    if kind == "uniform":
+        return uniform_matroid(n, rng.randint(1, n))
+    if kind == "partition":
+        order = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(4, n - 1))))
+        parts = [order[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+        return partition_matroid(n, parts, [rng.randint(1, len(p)) for p in parts])
+    if kind == "graphic":
+        vertices = rng.randint(3, 7)
+        return graphic_matroid(vertices, [tuple(rng.sample(range(vertices), 2)) for _ in range(n)])
+    if kind == "explicit":  # the independent sets of a rank <= 3 partition matroid, listed
+        m = _kind_matroid("partition", n, rng)
+        small = [mask for mask in range(1 << n) if m.indep_mask(mask) and mask.bit_count() <= 3]
+        return explicit_matroid(n, [list(bits(mask)) for mask in small])
+    m = _kind_matroid(rng.choice(["uniform", "partition", "graphic"]), n, rng)
+    for e in rng.sample(range(n), rng.randint(1, 2)):
+        if m.indep_mask(1 << e):
+            m = m.contract(e)
+    return m
+
+
+KINDS = ["uniform", "partition", "graphic", "explicit", "contracted"]
+
+
+def _kind_lps(kind, n):
+    """Relaxation LPs over random matroids of one kind on n elements: the
+    linear instance's own objective, and one of mixed signs."""
+    rng = random.Random(f"{kind}-{n}")
+    inst = ProbingInstance(
+        n=n,
+        p=[round(rng.uniform(0.1, 1.0), 4) for _ in range(n)],
+        objective=linear_objective([round(rng.uniform(0.2, 2.0), 4) for _ in range(n)]),
+        inner=[_kind_matroid(kind, n, rng) for _ in range(rng.randint(0, 1))],
+        outer=[_kind_matroid(kind, n, rng) for _ in range(rng.randint(1, 2))],
+    )
+    a_ub, b_ub = _polytope_rows(inst)
+    c = np.array([rng.uniform(-0.5, 2.0) for _ in range(n)])
+    return [build_probing_lp(inst), LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub)]
+
+
+def _assert_matches_highs(lp, sol):
+    """solve_lp's optimum is HiGHS's within 1e-9 relative, at a feasible x."""
+    x, value, active = sol
+    _, ref = highs_lp(lp)
+    assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
+    assert value == float(lp.c @ x)
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    if lp.a_ub.size:
+        assert np.max(lp.a_ub @ x - lp.b_ub) <= 1e-9
+    assert len(active) == lp.n
+
+
+def _dantzig_cycles(lp, pivots=40):
+    """The same active-set pivots as solve_lp, but the most negative
+    multiplier leaves: True when an active set repeats before an optimum."""
+    g, h = _constraints(lp.a_ub, lp.b_ub)
+    active = np.arange(len(h) - lp.n, len(h))
+    seen = set()
+    for _ in range(pivots):
+        inv = np.linalg.inv(g[active])
+        duals = lp.c @ inv
+        if np.all(duals >= -1e-12):
+            return False
+        leave = int(np.argmin(duals))
+        d = -inv[:, leave]
+        rate = g @ d
+        rate[active] = 0.0
+        blocking = np.flatnonzero(rate > 1e-9)
+        slack = np.maximum(h[blocking] - g[blocking] @ (inv @ h[active]), 0.0)
+        step = slack / rate[blocking]
+        active[leave] = blocking[np.argmin(step)]
+        key = frozenset(active.tolist())
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
+
+
+class TestSimplexAgainstHighs:
+    """The numpy simplex against HiGHS, the reference in conftest.py."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_matroid_kind(self, kind):
+        for n in range(3, 17):
+            for lp in _kind_lps(kind, n):
+                _assert_matches_highs(lp, solve_lp(lp))
+
+    def test_continuous_greedy_vertex_lps(self):
+        rng = spawn_rng(27, "cg-vertex-lps")
+        for i in range(30):
+            inst = gen_random(rng.randint(3, 12), i % 3, 1 + i % 2, "coverage", rng)
+            a_ub, b_ub = _polytope_rows(inst)
+            p = np.asarray(inst.p)
+            grad = _gradient_matrix(np.asarray(inst.objective.value_table()), p)
+            previous = None
+            for _ in range(4):
+                omega = grad @ product_weights(p * np.array([rng.random() for _ in p]))
+                lp = LinearProgram(c=omega, a_ub=a_ub, b_ub=b_ub)
+                sol = solve_lp(lp)
+                _assert_matches_highs(lp, sol)
+                if previous is not None:  # pivoting on from another vertex
+                    _assert_matches_highs(lp, solve_lp(lp, previous.active))
+                previous = sol
+
+    def test_beale_terminates_under_blands_rule(self):
+        # Beale's example, max -(-3/4 x1 + 20 x2 - 1/2 x3 + 6 x4), cut by the
+        # box: x = 0 is degenerate in both rows, and the most negative
+        # multiplier's rule pivots around a cycle of six active sets there
+        lp = LinearProgram(
+            c=np.array([0.75, -20.0, 0.5, -6.0]),
+            a_ub=np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0]]),
+            b_ub=np.zeros(2),
+        )
+        assert _dantzig_cycles(lp)
+        sol = solve_lp(lp)
+        _assert_matches_highs(lp, sol)
+        assert sol.x.tolist() == [1.0, 0.0, 1.0, 0.0] and sol.value == 1.25
+
+    def test_empty_rows_and_zero_objective(self):
+        for n in (1, 4):
+            for a_ub, b_ub in ((np.zeros((0, n)), np.zeros(0)), (np.ones((1, n)), np.ones(1))):
+                x, value, active = solve_lp(LinearProgram(c=np.zeros(n), a_ub=a_ub, b_ub=b_ub))
+                assert x.tolist() == [0.0] * n and value == 0.0
+                lp = LinearProgram(c=np.arange(n) - 1.5, a_ub=a_ub, b_ub=b_ub)
+                _assert_matches_highs(lp, solve_lp(lp))
+
+    def test_needs_x_zero_feasible(self):
+        lp = LinearProgram(c=np.ones(2), a_ub=np.ones((1, 2)), b_ub=np.array([-1.0]))
+        with pytest.raises(ValueError, match="b_ub >= 0"):
+            solve_lp(lp)
+
+    def test_pivot_cap(self, monkeypatch):
+        lp = LinearProgram(c=np.ones(2), a_ub=np.ones((1, 2)), b_ub=np.ones(1))
+        monkeypatch.setattr(probe_kit.relaxation, "PIVOT_CAP", 0)
+        with pytest.raises(RuntimeError, match="LP solve failed"):
+            solve_lp(lp)
+        monkeypatch.setattr(probe_kit.relaxation, "PIVOT_CAP", 1)  # one pivot to (1, 0)
+        assert solve_lp(lp).x.tolist() == [1.0, 0.0]
 
 
 class TestProbingLp:
@@ -189,8 +341,8 @@ class TestPolytopeRows:
             if inst.objective.is_linear:
                 objectives.append(build_probing_lp(inst).c)
             for c in objectives:
-                x, val = solve_lp(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub))
-                _, ref_val = solve_lp(LinearProgram(c=c, a_ub=ref_a, b_ub=ref_b))
+                x, val, _ = solve_lp(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub))
+                _, ref_val, _ = solve_lp(LinearProgram(c=c, a_ub=ref_a, b_ub=ref_b))
                 assert abs(val - ref_val) <= 1e-9
                 assert np.max(ref_a @ x - ref_b) <= 1e-9
 
@@ -208,7 +360,7 @@ class TestPolytopeRows:
         )
         a_ub, b_ub = _polytope_rows(inst)
         assert a_ub.shape == (0, 3) and b_ub.shape == (0,)
-        x, val = solve_lp(LinearProgram(c=np.ones(3), a_ub=a_ub, b_ub=b_ub))
+        x, val, _ = solve_lp(LinearProgram(c=np.ones(3), a_ub=a_ub, b_ub=b_ub))
         assert val == pytest.approx(3.0)
         assert np.allclose(x, 1.0)
 
@@ -263,8 +415,7 @@ def _reference_continuous_greedy(inst, steps):
             lo = py.copy()
             hi[e], lo[e] = 1.0, 0.0
             omega[e] = p[e] * (multilinear(table, hi) - multilinear(table, lo))
-        v, _ = solve_lp(LinearProgram(c=omega, a_ub=a_ub, b_ub=b_ub))
-        y = y + v / steps
+        y = y + solve_lp(LinearProgram(c=omega, a_ub=a_ub, b_ub=b_ub)).x / steps
     x0 = _repair_point(inst, np.clip(y, 0.0, 1.0))
     return x0, multilinear(table, p * x0)
 
@@ -285,9 +436,9 @@ def _counting_solves(monkeypatch):
     calls = [0]
     solve = probe_kit.relaxation.solve_lp
 
-    def counting(lp):
+    def counting(lp, active=None):
         calls[0] += 1
-        return solve(lp)
+        return solve(lp, active)
 
     monkeypatch.setattr(probe_kit.relaxation, "solve_lp", counting)
     return calls
@@ -346,7 +497,7 @@ class TestVectorizedContinuousGreedy:
 
         def recording(omega, v, a_ub, b_ub):
             vertex = greedy_vertex(omega, v, a_ub, b_ub)
-            picked.append((omega, vertex[0], a_ub, b_ub))
+            picked.append((omega, vertex.x, a_ub, b_ub))
             return vertex
 
         monkeypatch.setattr(probe_kit.relaxation, "_greedy_vertex", recording)
@@ -355,7 +506,7 @@ class TestVectorizedContinuousGreedy:
             continuous_greedy(inst, steps=100)
             assert len(picked) == 100
             for omega, vertex, a_ub, b_ub in picked:
-                _, opt = solve_lp(LinearProgram(c=omega, a_ub=a_ub, b_ub=b_ub))
+                _, opt = highs_lp(LinearProgram(c=omega, a_ub=a_ub, b_ub=b_ub))
                 assert omega @ vertex >= opt - 1e-9 * (1.0 + abs(opt))
                 assert np.all(a_ub @ vertex <= b_ub + 1e-9)
                 assert np.all((vertex >= 0.0) & (vertex <= 1.0))
@@ -366,22 +517,27 @@ class TestVectorizedContinuousGreedy:
         continuous_greedy(inst, steps=200)
         assert 1 <= calls[0] < 200
 
-    def test_tight_normals_built_once_per_solve(self, monkeypatch):
-        built = [0]
-        tight_normals = probe_kit.relaxation._tight_normals
+    def test_resolves_pivot_on_from_the_previous_vertex(self, monkeypatch):
+        # the first solve starts at x = 0; every later one from the active
+        # constraints of the vertex that stopped being optimal
+        starts = []
+        solve = probe_kit.relaxation.solve_lp
 
-        def counting(v, a_ub, b_ub):
-            built[0] += 1
-            return tight_normals(v, a_ub, b_ub)
+        def recording(lp, active=None):
+            sol = solve(lp, active)
+            starts.append((None if active is None else active.tolist(), sol.active.tolist()))
+            return sol
 
-        monkeypatch.setattr(probe_kit.relaxation, "_tight_normals", counting)
-        calls = _counting_solves(monkeypatch)
+        monkeypatch.setattr(probe_kit.relaxation, "solve_lp", recording)
         insts = _submodular_instances(6, 800)
         insts.append(gen_random(10, 1, 1, "coverage", spawn_rng(3, "cg-solves")))
         for inst in insts:
-            built[0] = calls[0] = 0
+            starts.clear()
             continuous_greedy(inst, steps=200)
-            assert 1 <= built[0] <= calls[0] < 200
+            assert 1 <= len(starts) < 200
+            assert starts[0][0] is None
+            for (_, before), (start, _) in zip(starts, starts[1:]):
+                assert start == before
 
     def test_single_step(self, monkeypatch):
         calls = _counting_solves(monkeypatch)
