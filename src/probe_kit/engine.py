@@ -8,17 +8,16 @@ matroid j is `inst.outer[j]` contracted by `q_mask` and inner matroid j is
 `inst.inner[j]` contracted by `s_mask`; `support_updates` passes those masks
 to `support_update_masks` instead of building contracted copies.
 
-The sampled choices of one step are isolated in `StepChoices`, so the same
-deterministic core serves both the policy walk in `harness` (`apply_step`)
-and the exact one-step expectations of the drift checks (`support_updates`,
-the only code that applies the guided support update). `draw_choices`
-returns a step's draws as one flat tuple, (e, active, outer guides...,
-inner guides...), which the walk hashes as the key of a state's successor;
-`StepChoices.from_draw` unpacks it for a step that is not yet in the graph.
-Every draw reads the cumulative tables a state caches on first use
-(`element_table`, `guide_tables`), so a state the walk meets again draws
-without rebuilding them. `outcomes` enumerates the same tables: each choice
-`draw_choices` can return, with the probability that its draws give it.
+A step is its draw tuple, (e, active, outer guides..., inner guides...),
+the one `draw_choices` returns; an inactive probe draws no inner guide. The
+walk in `harness` hashes it as the key of a state's successor, and the same
+deterministic core takes it both there (`apply_step`) and in the exact
+one-step expectations of the drift checks (`support_updates`, the only code
+that applies the guided support update). Every draw reads the cumulative
+tables a state caches on first use (`element_table`, `guide_tables`), so a
+state the walk meets again draws without rebuilding them. `outcomes`
+enumerates the same tables: each tuple `draw_choices` can return, with the
+probability that its draws give it.
 
 `apply_step` only computes a successor. `intern` is the one place that
 certifies one: it stores a state by its value (`PolicyState.key`) and runs
@@ -36,7 +35,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation
 from .instances import ProbingInstance
@@ -55,21 +54,6 @@ COORD_EPS = 1e-9
 
 # keys in draw order, with the running sum of their weights after each key
 DrawTable = Tuple[Tuple[int, ...], Tuple[float, ...]]
-
-
-class StepChoices(NamedTuple):
-    element: int
-    active: bool
-    outer_guides: Tuple[int, ...]
-    inner_guides: Tuple[Optional[int], ...]
-
-    @classmethod
-    def from_draw(cls, inst: ProbingInstance, draw: tuple) -> "StepChoices":
-        """The choices of a `draw_choices` tuple; an inactive probe has the
-        inner guides None."""
-        k = 2 + len(inst.outer)
-        inner = draw[k:] if draw[1] else (None,) * len(inst.inner)
-        return cls(draw[0], draw[1], draw[2:k], inner)
 
 
 @dataclass
@@ -263,7 +247,7 @@ def draw_choices(state: PolicyState, rng: random.Random) -> Optional[tuple]:
     """One step's draws as a flat tuple (e, active, outer guides...,
     inner guides...), or None at termination; an inactive probe draws no
     inner guide, and an inner matroid whose terms holding e weigh nothing
-    gives the guide None. `StepChoices.from_draw` unpacks it.
+    gives the guide None. This tuple is the step: `apply_step` takes it.
 
     Fixed draw order: element, probe outcome, outer guides, inner guides.
     Like the element, each guide is the first key of its table whose running
@@ -301,8 +285,8 @@ def _shares(table: Optional[DrawTable]) -> List[Tuple[Optional[int], float]]:
     return [(k, (acc - prev) / sums[-1]) for k, acc, prev in zip(keys, sums, (0.0,) + sums[:-1])]
 
 
-def outcomes(state: PolicyState) -> Iterator[Tuple[float, StepChoices]]:
-    """Every choice `draw_choices` can return from `state`, with its
+def outcomes(state: PolicyState) -> Iterator[Tuple[float, tuple]]:
+    """Every draw tuple `draw_choices` can return from `state`, with its
     probability; a terminal state has none.
 
     The element, the outer guides and, for an active probe, the inner guides
@@ -320,43 +304,50 @@ def outcomes(state: PolicyState) -> Iterator[Tuple[float, StepChoices]]:
         for active, prob in ((False, 1.0 - p[e]), (True, p[e])):
             if prob <= 0.0:
                 continue
-            inner = [_shares(t if active else None) for t in inner_tables]
-            for og, ig in itertools.product(outer, itertools.product(*inner)):
+            inner = itertools.product(*map(_shares, inner_tables)) if active else [()]
+            for og, ig in itertools.product(outer, inner):
                 q = share * prob
                 for _, r in og + ig:
                     q *= r
-                yield q, StepChoices(
-                    e, active, tuple(a for a, _ in og), tuple(a for a, _ in ig)
-                )
+                yield q, (e, active) + tuple(a for a, _ in og + ig)
 
 
 def support_updates(
-    state: PolicyState, choices: StepChoices
+    state: PolicyState, draw: tuple
 ) -> Tuple[List[MaskTerms], List[MaskTerms]]:
     """(outer, inner): each matroid's decomposition after the guided support
-    update for `choices`, before trimming. An inactive probe leaves the inner
-    decompositions as they are; an inner guide of None (p_e x_e below
-    tolerance) drops e from that matroid's terms directly."""
+    update for the step `draw`, before trimming. An inactive probe leaves the
+    inner decompositions as they are; an inner guide of None (p_e x_e below
+    tolerance) drops e from that matroid's terms directly.
+
+    A draw of the wrong length for its probe outcome, or one that probes an
+    element with x_e = 0, raises `InvariantViolation`: only an engine bug
+    makes one."""
     inst = state.inst
-    e = choices.element
+    e, active = draw[0], draw[1]
+    k = 2 + len(inst.outer)
+    if len(draw) != k + (len(inst.inner) if active else 0):
+        raise InvariantViolation("draw does not hold one guide per matroid")
+    if state.x[e] <= 0.0:
+        raise InvariantViolation("probed element has zero fractional value")
     outer = [
         support_update_masks(m, terms, e, g, state.q_mask)
-        for m, terms, g in zip(inst.outer, state.outer_terms, choices.outer_guides)
+        for m, terms, g in zip(inst.outer, state.outer_terms, draw[2:k])
     ]
-    if not choices.active:
+    if not active:
         return outer, state.inner_terms
     ebit = 1 << e
     inner = [
         [(w, mask & ~ebit) for w, mask in terms]
         if g is None
         else support_update_masks(m, terms, e, g, state.s_mask)
-        for m, terms, g in zip(inst.inner, state.inner_terms, choices.inner_guides)
+        for m, terms, g in zip(inst.inner, state.inner_terms, draw[k:])
     ]
     return outer, inner
 
 
-def apply_step(state: PolicyState, choices: StepChoices) -> PolicyState:
-    """Deterministic step core given all sampled choices.
+def apply_step(state: PolicyState, draw: tuple) -> PolicyState:
+    """Deterministic step core given the step's draw tuple.
 
     Takes every matroid's guided support update from `support_updates`,
     reconciles the master vector as the coordinate-wise minimum of the
@@ -369,13 +360,11 @@ def apply_step(state: PolicyState, choices: StepChoices) -> PolicyState:
     """
     inst = state.inst
     n = inst.n
-    e = choices.element
+    e, active = draw[0], draw[1]
     ebit = 1 << e
     p = inst.p
-    if state.x[e] <= 0.0:
-        raise ValueError("probed element has zero fractional value")
 
-    outer_terms, inner_terms = support_updates(state, choices)
+    outer_terms, inner_terms = support_updates(state, draw)
     outer_implied = [implied_vector_masks(t, n) for t in outer_terms]
     inner_implied = [implied_vector_masks(t, n) for t in inner_terms]
 
@@ -388,7 +377,7 @@ def apply_step(state: PolicyState, choices: StepChoices) -> PolicyState:
         for vec in outer_implied:
             if vec[i] < v:
                 v = vec[i]
-        if choices.active:
+        if active:
             for vec in inner_implied:
                 bound = vec[i] / p[i] if p[i] > 0.0 else v
                 if bound < v:
@@ -400,7 +389,7 @@ def apply_step(state: PolicyState, choices: StepChoices) -> PolicyState:
         inst=inst,
         x=new_x,
         q_mask=state.q_mask | ebit,
-        s_mask=(state.s_mask | ebit) if choices.active else state.s_mask,
+        s_mask=(state.s_mask | ebit) if active else state.s_mask,
         outer_terms=[trim_masks(t, v, new_x) for t, v in zip(outer_terms, outer_implied)],
         inner_terms=[trim_masks(t, v, new_px) for t, v in zip(inner_terms, inner_implied)],
     )

@@ -9,28 +9,28 @@ regardless of the worker count.
 
 The policy is a Markov chain: a state is a function of (probed mask, success
 mask, x, outer and inner decompositions), and `apply_step` is deterministic
-given a state and its sampled `StepChoices`. The masks also fix the
-matroids: a step reads the instance's outer matroids contracted by the
-probed mask and its inner ones contracted by the success mask, so a state
-holds no matroid of its own. The decompositions belong to the
-state because each step trims the previous ones: equal (q, s, x) reached
-along different paths may carry different decompositions and so draw
-different guides. `walk` is the one loop over that chain. It runs one trial
-from a state to termination over a transition graph: every state
-`apply_step` returns goes through `engine.intern`, which keeps one state per
-value (`PolicyState.key`) in the graph's store and certifies each new one,
-and is recorded in the `children` of the state it came from, keyed by the
-flat tuple `draw_choices` returns. A repeated step is then a draw from the
-state's cached tables and a lookup of that tuple; the `StepChoices` that
-`apply_step` takes are built only on a miss. `apply_step` runs once per
-distinct transition, and the feasibility assertion once per distinct state
-the graph holds: a successor equal to a stored state is dropped unchecked,
-since the certificate reads only what the key and the instance fix. The
-choices are still drawn on every step, so each trial consumes its chunk's
-RNG stream exactly as without reuse and the sums stay bit-identical. A walk
-of more than n steps raises `InvariantViolation`, since every step probes a
-new element. An optional sink sees each step as (state, choices, next
-state); `run_policy` uses one to record a `Trace`.
+given a state and its draw tuple, the one `draw_choices` returns: a step is
+that tuple everywhere, in the walk, the engine and the trace sink. The masks
+also fix the matroids: a step reads the instance's outer matroids contracted
+by the probed mask and its inner ones contracted by the success mask, so a
+state holds no matroid of its own. The decompositions belong to the state
+because each step trims the previous ones: equal (q, s, x) reached along
+different paths may carry different decompositions and so draw different
+guides. `walk` is the one loop over that chain. It runs one trial from a
+state to termination over a transition graph: every state `apply_step`
+returns goes through `engine.intern`, which keeps one state per value
+(`PolicyState.key`) in the graph's store and certifies each new one, and is
+recorded in the `children` of the state it came from, keyed by the draw
+tuple. A repeated step is then a draw from the state's cached tables and a
+lookup of that tuple; on a miss `apply_step` takes the same tuple.
+`apply_step` runs once per distinct transition, and the feasibility
+assertion once per distinct state the graph holds: a successor equal to a
+stored state is dropped unchecked, since the certificate reads only what the
+key and the instance fix. The draws are still made on every step, so each
+trial consumes its chunk's RNG stream exactly as without reuse and the sums
+stay bit-identical. A walk of more than n steps raises `InvariantViolation`,
+since every step probes a new element. An optional sink sees each step as
+(state, draw, next state); `run_policy` uses one to record a `Trace`.
 
 An experiment walks one graph: it builds the initial state once, interns it
 (so the root is certified like every other state) and adds at most
@@ -56,7 +56,6 @@ from typing import Callable, List, Optional, Tuple
 
 from .engine import (
     PolicyState,
-    StepChoices,
     StepRecord,
     Trace,
     apply_step,
@@ -140,20 +139,18 @@ def walk(
     state: PolicyState,
     rng: random.Random,
     store: dict,
-    sink: Optional[Callable[[PolicyState, StepChoices, PolicyState], None]] = None,
+    sink: Optional[Callable[[PolicyState, tuple, PolicyState], None]] = None,
 ) -> Tuple[PolicyState, int]:
     """Run one trial from `state` to termination over the transition graph
     that `store` interns; return the final state and the number of steps."""
-    inst = state.inst
-    limit = inst.n
+    limit = state.inst.n
     steps = 0
     while (draw := draw_choices(state, rng)) is not None:
         nxt = state.children.get(draw)
         if nxt is None:
-            choices = StepChoices.from_draw(inst, draw)  # built for a new step only
-            nxt = state.children[draw] = intern(store, apply_step(state, choices))
+            nxt = state.children[draw] = intern(store, apply_step(state, draw))
         if sink is not None:
-            sink(state, StepChoices.from_draw(inst, draw), nxt)
+            sink(state, draw, nxt)
         state = nxt
         steps += 1
         if steps > limit:
@@ -161,15 +158,20 @@ def walk(
     return state, steps
 
 
-def _step_record(state: PolicyState, choices: StepChoices, nxt: PolicyState) -> StepRecord:
-    p = state.inst.p
+def _step_record(state: PolicyState, draw: tuple, nxt: PolicyState) -> StepRecord:
+    """The trace record of a step; an inactive probe records its inner guides
+    as None, one per inner matroid."""
+    inst = state.inst
+    p = inst.p
+    e, active = draw[0], draw[1]
+    k = 2 + len(inst.outer)
     return StepRecord(
-        element=choices.element,
-        selection_probability=state.x[choices.element] / state.sigma,
-        active=choices.active,
-        outer_guides=choices.outer_guides,
-        inner_guides=choices.inner_guides,
-        deltas=[p[i] * (state.x[i] - nxt.x[i]) for i in range(state.inst.n)],
+        element=e,
+        selection_probability=state.x[e] / state.sigma,
+        active=active,
+        outer_guides=draw[2:k],
+        inner_guides=draw[k:] if active else (None,) * len(inst.inner),
+        deltas=[p[i] * (state.x[i] - nxt.x[i]) for i in range(inst.n)],
         z_before=state.z,
         z_after=nxt.z,
         f_before=state.objective_value,

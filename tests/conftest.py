@@ -44,8 +44,7 @@ def certified_step(state, draw):
     step of a caller that keeps no transition graph. Both are looked up on
     `probe_kit.engine`, so a test can count them."""
     engine = probe_kit.engine
-    choices = engine.StepChoices.from_draw(state.inst, draw)
-    return engine.intern({}, engine.apply_step(state, choices))
+    return engine.intern({}, engine.apply_step(state, draw))
 
 
 def mid_run_states(count, seed_base):

@@ -149,13 +149,13 @@ def test_criterion_5_drift_inequalities():
         step_mean = np.zeros(n)
         gain = drop = 0.0
         successors = {}  # outcomes that reach one state certify it once
-        for prob, choices in outcomes(state):
-            e = choices.element
-            nxt = intern(successors, apply_step(state, choices))
+        for prob, draw in outcomes(state):
+            e = draw[0]
+            nxt = intern(successors, apply_step(state, draw))
             total += prob
             # each matroid's support-update losses p_i (x_i - x'_i); the probed
             # element's own zeroing belongs to the probe, not to the update
-            outer_terms, inner_terms = support_updates(state, choices)
+            outer_terms, inner_terms = support_updates(state, draw)
             for j, terms in enumerate(outer_terms + inner_terms):
                 after = implied_vector_masks(terms, n)
                 losses = [scales[j][i] * (before[j][i] - after[i]) for i in range(n)]

@@ -9,12 +9,13 @@ import probe_kit.engine
 import probe_kit.polytope
 from probe_kit.engine import (
     COORD_EPS,
-    StepChoices,
+    apply_step,
     draw_choices,
     init_state,
     outcomes,
     potential,
     select_element,
+    support_updates,
 )
 from probe_kit.errors import InvariantViolation
 from probe_kit.harness import run_policy
@@ -34,12 +35,12 @@ from conftest import (
 )
 
 
-def _single_element_instance(p=1.0, w=1.0):
+def _single_element_instance(p=1.0, w=1.0, k_in=0):
     return ProbingInstance(
         n=1,
         p=[p],
         objective=linear_objective([w]),
-        inner=[],
+        inner=[uniform_matroid(1, 1)] * k_in,
         outer=[uniform_matroid(1, 1)],
     )
 
@@ -80,7 +81,7 @@ class TestSelection:
 
 
     def test_table_draws_match_the_loop_reference(self):
-        """Same choices, and the RNG left at the same point, on every state."""
+        """Same draws, and the RNG left at the same point, on every state."""
         states = 0
         for seed in range(24):
             inst = random_instance(900 + seed, objective="coverage" if seed % 2 else "linear")
@@ -113,12 +114,42 @@ class TestStep:
         assert draw_choices(state, random.Random(0)) is None
 
     def test_impossible_element_never_succeeds(self):
-        inst = _single_element_instance(p=0.0)
+        inst = _single_element_instance(p=0.0, k_in=2)
         trace = run_policy(inst, [1.0], random.Random(0))
         assert len(trace) == 1
         assert not trace.steps[0].active
+        # an inactive probe draws no inner guide; its record has one None each
+        assert trace.steps[0].inner_guides == (None,) * inst.k_in
+        assert trace.to_json()["steps"][0]["inner_guides"] == [None, None]
+        assert '"inner_guides": [null, null]' in trace.dumps()
         assert trace.final_successes == frozenset()
         assert trace.final_probed == frozenset({0})
+
+    def test_bad_draw_is_an_invariant_violation(self):
+        """A draw with a guide missing or extra for its probe outcome is
+        refused, never truncated to the matroids it reaches, and so is one
+        that probes an element with x_e = 0."""
+        inst = random_instance(5, n=7, k_in=1, k_out=2)
+        state = init_state(inst, solve_relaxation(inst).x0)
+        e = state.element_table[0][0]
+        zero = state.x.index(0.0)  # the relaxation vertex leaves a coordinate at 0
+        outer, inner = state.guide_tables(e)
+        guides = tuple(table[0][0] for table in outer)
+        inner_guide = inner[0][0][0] if inner[0] is not None else None
+        shape = "one guide per matroid"
+        for draw, message in (
+            ((e, False) + guides[:1], shape),
+            ((e, False) + guides + (inner_guide,), shape),  # an inactive probe has none
+            ((e, True) + guides, shape),
+            ((e, True) + guides[:1] + (inner_guide,), shape),
+            ((zero, False) + guides, "zero fractional value"),
+        ):
+            for step in (support_updates, apply_step):
+                with pytest.raises(InvariantViolation, match=message):
+                    step(state, draw)
+        # well-formed draws of both outcomes step
+        support_updates(state, (e, False) + guides)
+        support_updates(state, (e, True) + guides + (inner_guide,))
 
     def test_non_finite_x0_rejected(self):
         inst = random_instance(3, n=4)
@@ -156,10 +187,10 @@ class TestStep:
 class TestOutcomes:
     def test_every_draw_is_an_outcome(self):
         for si, state in enumerate(mid_run_states(20, 505)):
-            keys = {choices for _, choices in outcomes(state)}
+            keys = {draw for _, draw in outcomes(state)}
             rng = spawn_rng(si, "outcomes")
             for _ in range(2000):
-                assert StepChoices.from_draw(state.inst, draw_choices(state, rng)) in keys
+                assert draw_choices(state, rng) in keys
 
     def test_probabilities_follow_the_term_weights(self):
         # x_e/Sigma, times p_e or 1-p_e, times w_a / sum of w_b over the
@@ -167,7 +198,10 @@ class TestOutcomes:
         for state in mid_run_states(20, 505):
             p = state.inst.p
             total = 0.0
-            for prob, (e, active, outer, inner) in outcomes(state):
+            k = 2 + state.inst.k_out
+            for prob, draw in outcomes(state):
+                e, active, outer, inner = draw[0], draw[1], draw[2:k], draw[k:]
+                assert inner == () or active  # an inactive probe draws no inner guide
                 expected = state.x[e] / state.sigma * (p[e] if active else 1.0 - p[e])
                 guided = list(zip(state.outer_terms, outer))
                 if active:

@@ -20,7 +20,7 @@ import pytest
 import probe_kit.engine
 import probe_kit.harness
 from probe_kit.cli import main
-from probe_kit.engine import init_state
+from probe_kit.engine import apply_step, init_state, outcomes
 from probe_kit.errors import InvariantViolation
 from probe_kit.harness import (
     CHUNK,
@@ -45,9 +45,9 @@ def _reference(inst, x0, trials, seed, monkeypatch):
     steps = [0]
     apply_step = probe_kit.engine.apply_step
 
-    def counting(state, choices):
+    def counting(state, draw):
         steps[0] += 1
-        return apply_step(state, choices)
+        return apply_step(state, draw)
 
     totals = []
     with monkeypatch.context() as patch:
@@ -102,12 +102,9 @@ def test_apply_step_runs_once_per_distinct_transition(monkeypatch, roots):
             steps.append(state.key + (draw,))
         return draw
 
-    def counting_apply(state, choices):
-        draw = (choices.element, choices.active) + choices.outer_guides
-        if choices.active:
-            draw += choices.inner_guides
+    def counting_apply(state, draw):
         computed.append(state.key + (draw,))
-        return apply_step(state, choices)
+        return apply_step(state, draw)
 
     monkeypatch.setattr(probe_kit.harness, "draw_choices", recording_draw)
     monkeypatch.setattr(probe_kit.harness, "apply_step", counting_apply)
@@ -116,6 +113,38 @@ def test_apply_step_runs_once_per_distinct_transition(monkeypatch, roots):
     assert len(computed) == len(set(computed))  # no (state, draw) stepped twice
     assert set(computed) == set(steps)  # and every one drawn was stepped
     assert len(computed) < len(steps)
+
+
+def test_outcomes_yield_the_keys_the_walk_stores(monkeypatch, roots):
+    """Every successor the walk stores is keyed by a draw tuple `outcomes`
+    yields, and is the state `apply_step` computes for that tuple, as the
+    graph's store interns it."""
+    inst = random_instance(5, n=7, k_in=1, k_out=2)
+    x0 = solve_relaxation(inst).x0
+    stores = []
+    intern = probe_kit.harness.intern
+
+    def recording_intern(store, state):
+        if not any(store is seen for seen in stores):
+            stores.append(store)
+        return intern(store, state)
+
+    monkeypatch.setattr(probe_kit.harness, "intern", recording_intern)
+    mc_policy_value(inst, x0, TRIALS, seed=1)
+    assert len(roots) == len(stores) == 1
+    store, seen, stack, edges = stores[0], set(), [roots[0]], 0
+    while stack:
+        state = stack.pop()
+        if id(state) in seen:
+            continue
+        seen.add(id(state))
+        keys = {draw for _, draw in outcomes(state)}
+        for draw, child in state.children.items():
+            assert draw in keys
+            assert intern(store, apply_step(state, draw)) is child
+            stack.append(child)
+            edges += 1
+    assert len(seen) == len(store) and edges > len(seen)
 
 
 def test_store_cap_restarts_the_graph(monkeypatch, roots):
@@ -146,9 +175,9 @@ def test_each_interned_state_is_certified_once(monkeypatch, roots):
             stores.append(store)
         return intern(store, state)
 
-    def counting_apply(state, choices):
+    def counting_apply(state, draw):
         computed[0] += 1
-        return apply_step(state, choices)
+        return apply_step(state, draw)
 
     monkeypatch.setattr(probe_kit.engine, "_assert_state_feasible", recording_certify)
     monkeypatch.setattr(probe_kit.harness, "intern", recording_intern)
@@ -210,7 +239,7 @@ def test_an_uncertified_root_raises(entry, monkeypatch):
             run_policy(inst, x0, spawn_rng(1, "root"))
 
 
-def _nan_term_weight(state, choices):
+def _nan_term_weight(state, draw):
     """The first term with a nonempty set weighs NaN, in the first matroid
     that has one."""
     for terms in state.outer_terms + state.inner_terms:
@@ -220,8 +249,8 @@ def _nan_term_weight(state, choices):
                 return
 
 
-def _probed_coordinate_left(state, choices):
-    state.x[choices.element] = 0.25
+def _probed_coordinate_left(state, draw):
+    state.x[draw[0]] = 0.25
 
 
 @pytest.mark.parametrize(
@@ -239,9 +268,9 @@ def test_a_corrupted_successor_raises(corrupt, message, entry, monkeypatch):
     x0 = solve_relaxation(inst).x0
     apply_step = probe_kit.harness.apply_step
 
-    def corrupting_apply(state, choices):
-        nxt = apply_step(state, choices)
-        corrupt(nxt, choices)
+    def corrupting_apply(state, draw):
+        nxt = apply_step(state, draw)
+        corrupt(nxt, draw)
         return nxt
 
     monkeypatch.setattr(probe_kit.harness, "apply_step", corrupting_apply)
@@ -279,7 +308,7 @@ def test_monte_carlo_sums_are_pinned(kind):
 
 
 # sha256 of 20 `run_policy` traces' `Trace.dumps()`, joined by newlines, as
-# the harness gave them while `walk` keyed a state's successors by StepChoices
+# the harness gave them before a step's draw tuple became its only form
 PINNED_TRACES = {
     "linear": "ea4f32e5af21ed2b67eb802ee74df41576dfb24eab22c2a2cd431e5717e464cb",
     "coverage": "b243761d2556a61b2117a802b5cbe65ff29fde299d8ec7e2bfd22c41888cfba8",
@@ -329,7 +358,7 @@ def test_traces_match_the_monte_carlo_walk(seed, objective):
 def test_a_chain_that_never_ends_raises(monkeypatch):
     inst = random_instance(3, objective="linear")
     x0 = solve_relaxation(inst).x0
-    monkeypatch.setattr(probe_kit.harness, "apply_step", lambda state, choices: state)
+    monkeypatch.setattr(probe_kit.harness, "apply_step", lambda state, draw: state)
     with pytest.raises(InvariantViolation, match="more steps than ground elements"):
         mc_policy_value(inst, x0, 10, seed=1)
 
@@ -340,8 +369,8 @@ def test_graph_is_freed_on_return(monkeypatch):
     stored = []
     apply_step = probe_kit.harness.apply_step
 
-    def recording_apply(state, choices):
-        nxt = apply_step(state, choices)
+    def recording_apply(state, draw):
+        nxt = apply_step(state, draw)
         stored.append(weakref.ref(nxt))
         return nxt
 
